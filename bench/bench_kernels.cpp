@@ -350,7 +350,7 @@ void BM_BatchTopK(benchmark::State& state) {
     ParallelFor(
         ThreadPool::Global(), users,
         [&](Index begin, Index end) {
-          TopKHeap heap(kTop);
+          TopKHeap heap(kTop, items);
           for (Index u = begin; u < end; ++u) {
             const Real* row = scores.row(u);
             heap.Reset();

@@ -5,7 +5,8 @@
 // size — the label records both footprints. Results are verified
 // bit-identical at startup before timing. BM_ServingDistributed serves the
 // same catalog through 1/2/4 shard-server sockets behind ONE coordinator,
-// parity-gated against the in-process sharded engine, charting the wire +
+// parity-gated against the in-process engine over the same shard layout,
+// charting the wire +
 // fan-out overhead. BM_ServingAdmission charts what
 // the admission front end buys: 8 concurrent single-request threads served
 // unbatched vs coalesced into fused user batches (one catalog stream per
@@ -76,12 +77,16 @@ std::vector<std::vector<Recommendation>> MaterializeThenRank(
     const StaticRecommender& model,
     const std::vector<std::vector<Index>>& seen,
     const std::vector<Index>& users, Index k, Matrix* scores) {
-  model.Score(users, scores);  // full users x catalog matrix
+  // Full users x catalog matrix: one catalog-wide block.
+  const auto scorer = model.MakeScorer();
+  scores->ResizeUninitialized(static_cast<Index>(users.size()),
+                              scorer->num_items());
+  scorer->ScoreBlock(users, {0, scorer->num_items()}, MatrixView(scores));
   std::vector<std::vector<Recommendation>> results(users.size());
   ParallelFor(
       ThreadPool::Global(), static_cast<Index>(users.size()),
       [&](Index begin, Index end) {
-        TopKHeap heap(k);
+        TopKHeap heap(k, scores->cols());
         for (Index r = begin; r < end; ++r) {
           const auto& exclude = seen[static_cast<size_t>(
               users[static_cast<size_t>(r)])];
@@ -115,6 +120,27 @@ std::vector<RecRequest> MakeRequests(const std::vector<Index>& users,
     requests.push_back(std::move(request));
   }
   return requests;
+}
+
+// Aborts the benchmark binary unless `got` is served (kOk) and matches
+// `want` item for item and score bit for score bit: a timing that follows a
+// failed parity gate would measure a wrong answer.
+void AbortUnlessIdentical(const std::vector<RecResponse>& got,
+                          const std::vector<RecResponse>& want,
+                          const std::string& what) {
+  if (got.size() != want.size()) std::abort();
+  for (size_t r = 0; r < got.size(); ++r) {
+    bool same = got[r].status == RecStatus::kOk &&
+                got[r].items.size() == want[r].items.size();
+    for (size_t j = 0; same && j < want[r].items.size(); ++j) {
+      same = got[r].items[j].item == want[r].items[j].item &&
+             got[r].items[j].score == want[r].items[j].score;
+    }
+    if (!same) {
+      std::fprintf(stderr, "%s parity failure at row %zu\n", what.c_str(), r);
+      std::abort();
+    }
+  }
 }
 
 // Both paths must agree bit-for-bit; abort the benchmark binary otherwise so
@@ -254,12 +280,12 @@ BENCHMARK(BM_ServingConcurrent)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Sharded-catalog serving: the item table partitioned across 1/2/4 sibling
-// shard views of ONE base scorer, per-shard top-K merged bit-exactly
-// (asserted against the single-engine answer at setup), crossed with 1/4
-// concurrent request threads sharing the one sharded engine. Charts what
-// horizontal catalog partitioning costs (merge + per-shard arenas) and
-// buys (parallel shard ranking) in BENCH_kernels.json.
+// Sharded-catalog serving: the item table partitioned across 1/2/4 shard
+// views of ONE base scorer (ServingEngineOptions::num_shards), per-shard
+// top-K merged bit-exactly (asserted against the one-shard answer at
+// setup), crossed with 1/4 concurrent request threads sharing the engine.
+// Charts what horizontal catalog partitioning costs (merge + per-shard
+// arenas) and buys (parallel shard ranking) in BENCH_kernels.json.
 void BM_ServingSharded(benchmark::State& state) {
   const Index num_items = state.range(0);
   const Index batch = state.range(1);
@@ -267,7 +293,7 @@ void BM_ServingSharded(benchmark::State& state) {
   constexpr Index kTop = 20;
   static std::mutex setup_mu;
   static ServingWorld* world = nullptr;
-  static ShardedServingEngine* engine = nullptr;
+  static ServingEngine* engine = nullptr;
   static Index world_items = -1;
   static Index world_batch = -1;
   static Index world_shards = -1;
@@ -279,29 +305,16 @@ void BM_ServingSharded(benchmark::State& state) {
       delete engine;
       delete world;
       world = MakeWorld(4096, num_items, 64, batch);
-      ShardedServingOptions options;
+      ServingEngineOptions options;
       options.num_shards = shards;
-      engine = new ShardedServingEngine(&world->model, world->dataset,
-                                        options);
-      // Parity gate: the sharded merge must reproduce the single-engine
+      engine = new ServingEngine(&world->model, world->dataset, options);
+      // Parity gate: the sharded merge must reproduce the one-shard
       // (== seed materialize-then-rank) answer bit-for-bit before timing.
       const ServingEngine reference(&world->model, world->dataset);
       const auto requests = MakeRequests(world->users, kTop);
-      const auto want = reference.RecommendBatch(requests);
-      const auto got = engine->RecommendBatch(requests);
-      if (got.size() != want.size()) std::abort();
-      for (size_t r = 0; r < got.size(); ++r) {
-        if (got[r].items.size() != want[r].items.size()) std::abort();
-        for (size_t j = 0; j < want[r].items.size(); ++j) {
-          if (got[r].items[j].item != want[r].items[j].item ||
-              got[r].items[j].score != want[r].items[j].score) {
-            std::fprintf(stderr,
-                         "sharded parity failure at user row %zu (shards=%lld)\n",
-                         r, static_cast<long long>(shards));
-            std::abort();
-          }
-        }
-      }
+      AbortUnlessIdentical(engine->RecommendBatch(requests),
+                           reference.RecommendBatch(requests),
+                           "sharded (shards=" + std::to_string(shards) + ")");
       world_items = num_items;
       world_batch = batch;
       world_shards = shards;
@@ -320,7 +333,7 @@ void BM_ServingSharded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * num_items);
   if (state.thread_index() == 0) {
-    state.SetLabel(FootprintLabel(batch, ShardedServingOptions{}.item_block,
+    state.SetLabel(FootprintLabel(batch, ServingEngineOptions{}.item_block,
                                   num_items) +
                    " shards=" + std::to_string(shards) +
                    " req_threads=" + std::to_string(state.threads()));
@@ -339,7 +352,7 @@ BENCHMARK(BM_ServingSharded)
 // by 1/2/4 in-process ShardServers (each behind its own TCP connection),
 // fanned out to by ONE DistributedServingEngine. The parity gate at setup
 // asserts the distributed answer is bit-identical to the in-process
-// ShardedServingEngine over the same layout — the contract that makes
+// ServingEngine over the same shard layout — the contract that makes
 // moving a shard behind a socket observably free — and after timing the
 // run aborts if ANY rpc failed or degraded (a degraded pass would time
 // the timeout path, not serving). Charts the wire + fan-out overhead on
@@ -381,30 +394,14 @@ void BM_ServingDistributed(benchmark::State& state) {
     }
     engine = std::move(connected.value());
     // Parity gate: the socket hop must be invisible in the answer.
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = shards;
-    const ShardedServingEngine reference(&world->model, world->dataset,
-                                         sharded_options);
+    const ServingEngine reference(&world->model, world->dataset,
+                                  sharded_options);
     const auto requests = MakeRequests(world->users, kTop);
-    const auto want = reference.RecommendBatch(requests);
-    const auto got = engine->RecommendBatch(requests);
-    if (got.size() != want.size()) std::abort();
-    for (size_t r = 0; r < got.size(); ++r) {
-      if (got[r].status != RecStatus::kOk ||
-          got[r].items.size() != want[r].items.size()) {
-        std::abort();
-      }
-      for (size_t j = 0; j < want[r].items.size(); ++j) {
-        if (got[r].items[j].item != want[r].items[j].item ||
-            got[r].items[j].score != want[r].items[j].score) {
-          std::fprintf(stderr,
-                       "distributed parity failure at user row %zu "
-                       "(shards=%lld)\n",
-                       r, static_cast<long long>(shards));
-          std::abort();
-        }
-      }
-    }
+    AbortUnlessIdentical(engine->RecommendBatch(requests),
+                         reference.RecommendBatch(requests),
+                         "distributed (shards=" + std::to_string(shards) + ")");
     world_items = num_items;
     world_batch = batch;
     world_shards = shards;
@@ -479,18 +476,11 @@ void BM_ServingAdmission(benchmark::State& state) {
       request.k = kTop;
       probe.push_back(std::move(request));
     }
-    const auto fused = controller.RecommendBatch(probe);
-    for (size_t i = 0; i < probe.size(); ++i) {
-      const RecResponse alone = engine.RecommendBatchDirect({probe[i]})[0];
-      if (fused[i].items.size() != alone.items.size()) std::abort();
-      for (size_t j = 0; j < alone.items.size(); ++j) {
-        if (fused[i].items[j].item != alone.items[j].item ||
-            fused[i].items[j].score != alone.items[j].score) {
-          std::fprintf(stderr, "admission parity failure at request %zu\n", i);
-          std::abort();
-        }
-      }
+    std::vector<RecResponse> alone;
+    for (const RecRequest& request : probe) {
+      alone.push_back(engine.RecommendBatchDirect({request})[0]);
     }
+    AbortUnlessIdentical(controller.RecommendBatch(probe), alone, "admission");
   }
 
   std::mutex latency_mu;
@@ -584,25 +574,13 @@ void BM_ServingQuantized(benchmark::State& state) {
   ServingEngine engine(&world->model, world->dataset, options);
   const auto requests = MakeRequests(world->users, kTop);
   if (int8) {
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = 3;
     sharded_options.precision = ScoringPrecision::kInt8;
-    const ShardedServingEngine sharded(&world->model, world->dataset,
-                                       sharded_options);
-    const auto want = engine.RecommendBatch(requests);
-    const auto got = sharded.RecommendBatch(requests);
-    if (got.size() != want.size()) std::abort();
-    for (size_t r = 0; r < got.size(); ++r) {
-      if (got[r].items.size() != want[r].items.size()) std::abort();
-      for (size_t j = 0; j < want[r].items.size(); ++j) {
-        if (got[r].items[j].item != want[r].items[j].item ||
-            got[r].items[j].score != want[r].items[j].score) {
-          std::fprintf(stderr,
-                       "quantized bit-identity failure at user row %zu\n", r);
-          std::abort();
-        }
-      }
-    }
+    const ServingEngine sharded(&world->model, world->dataset,
+                                sharded_options);
+    AbortUnlessIdentical(sharded.RecommendBatch(requests),
+                         engine.RecommendBatch(requests), "quantized 3-shard");
   } else {
     CheckParity(*world, engine, kTop);  // fp32 row: the usual seed parity
   }

@@ -57,15 +57,14 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/eval/serving.h"
+#include "src/util/check.h"
 #include "src/util/thread_annotations.h"
 
 namespace firzen {
-
-class ShardedServingEngine;
-class DistributedServingEngine;
 
 /// How the dispatcher picks which queued tickets ride the next fused pass.
 /// Every policy preserves the coalescing contract — drain order changes
@@ -119,33 +118,38 @@ struct AdmissionOptions {
   std::vector<Index> tenant_weights;
 };
 
-/// Coalescing front end over a ServingEngine or ShardedServingEngine (or
+/// Coalescing front end over a ServingEngine or DistributedServingEngine (or
 /// any batch-serving backend). Construct it over the engine, then attach it
 /// with engine.AttachAdmission(&controller) so the engine's own
 /// Recommend/RecommendBatch route through it — or call the controller
-/// directly. The engine-pointer constructors do NOT attach; attachment is
+/// directly. The engine-pointer constructor does NOT attach; attachment is
 /// explicit so sibling engines can share one controller.
 class AdmissionController {
  public:
   /// Executes one fused request batch; must be safe to call concurrently
-  /// (both engines' direct paths are). May throw: a throwing pass fails
+  /// (the engines' direct paths are). May throw: a throwing pass fails
   /// every ticket it carried with RecStatus::kBackendError.
   using Backend =
       std::function<std::vector<RecResponse>(const std::vector<RecRequest>&)>;
 
-  /// Fronts `engine` through its admission-bypassing direct path. The
-  /// engine must outlive the controller.
-  explicit AdmissionController(const ServingEngine* engine,
-                               AdmissionOptions options = {});
-  explicit AdmissionController(const ShardedServingEngine* engine,
-                               AdmissionOptions options = {});
-  /// Fronts a distributed coordinator: admitted batches become the RPC
-  /// unit fanned out to the shard servers. Degraded responses (kDegraded,
-  /// with items) pass through tickets untouched.
-  explicit AdmissionController(const DistributedServingEngine* engine,
-                               AdmissionOptions options = {});
   /// Fronts an arbitrary backend (tests, RPC fan-out, ...).
   explicit AdmissionController(Backend backend, AdmissionOptions options = {});
+
+  /// Fronts `engine` through its admission-bypassing RecommendBatchDirect
+  /// (ServingEngine, or a DistributedServingEngine, whose admitted batches
+  /// become the RPC unit fanned out to the shard servers; its degraded
+  /// responses pass through tickets untouched). The engine must outlive
+  /// the controller.
+  template <typename Engine>
+  explicit AdmissionController(const Engine* engine,
+                               AdmissionOptions options = {})
+      : AdmissionController(
+            Backend([engine](const std::vector<RecRequest>& requests) {
+              return engine->RecommendBatchDirect(requests);
+            }),
+            std::move(options)) {
+    FIRZEN_CHECK(engine != nullptr);
+  }
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;

@@ -30,13 +30,6 @@ struct EvalOptions {
   /// Pool for the fused ranking/metric loops; nullptr = serial. Scoring
   /// kernels parallelize over ThreadPool::Global() regardless.
   ThreadPool* pool = nullptr;
-  /// Partition the catalog into this many contiguous shards and rank each
-  /// through a per-shard scorer view, merging per-user per-shard top-k
-  /// lists under the serving total order (src/eval/sharded_serving.h) —
-  /// the same shard/merge machinery ShardedServingEngine uses online, so
-  /// offline metrics exercise the sharded code path. Results are
-  /// bit-identical for any value (clamped to [1, num_items]).
-  Index num_shards = 1;
 };
 
 /// Averaged metrics plus the evaluated-user count.
@@ -46,10 +39,11 @@ struct EvalResult {
 };
 
 /// Evaluates `scorer` against `split` under the given setting. Results are
-/// bit-identical for any user_batch / item_block / pool / num_shards
-/// configuration: per-item scores are batch-size-invariant (the Gemm
-/// A * B^T contract, src/tensor/matrix.h), so even the ragged final user
-/// batch cannot shift a metric by an ulp.
+/// bit-identical for any user_batch / item_block / pool configuration:
+/// per-item scores are batch-size-invariant (the Gemm A * B^T contract,
+/// src/tensor/matrix.h), so even the ragged final user batch cannot shift
+/// a metric by an ulp, and per-user metrics are summed in user order
+/// whichever worker computed them.
 EvalResult EvaluateRanking(const Dataset& dataset,
                            const std::vector<Interaction>& split,
                            EvalSetting setting, const Scorer& scorer,

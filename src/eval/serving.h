@@ -12,16 +12,18 @@
 // calls interleave. Do NOT mint one engine per thread — that only
 // duplicates gather caches and mint-time projections.
 //
-// For catalogs whose item table outgrows one engine's working set, see
-// ShardedServingEngine (src/eval/sharded_serving.h): the same
-// request/response contract over a partitioned catalog, with responses
-// bit-identical to this engine for any shard count. Both front ends drive
-// the shared core in src/eval/serving_internal.h. Under heavy concurrent
-// single-request traffic, front either engine with an AdmissionController
-// (src/eval/admission.h): attached, it coalesces concurrent Recommend
-// calls into fused user batches — one catalog stream per batch instead of
-// one per request — with responses bit-identical to serving each request
-// alone (scores are batch-size-invariant; see src/tensor/matrix.h).
+// Sharded catalogs: ServingEngineOptions::num_shards (or explicit
+// boundaries) partitions the item id space into contiguous shards, each
+// ranked through a zero-copy view of the one scorer, and merges the
+// per-shard top-K lists under RanksBefore. Responses are bit-identical for
+// any shard layout; one shard is the whole catalog as a single range. The
+// ranking core is src/eval/serving_internal.h, shared with the distributed
+// shard server. Under heavy concurrent single-request traffic, front the
+// engine with an AdmissionController (src/eval/admission.h): attached, it
+// coalesces concurrent Recommend calls into fused user batches — one
+// catalog stream per batch instead of one per request — with responses
+// bit-identical to serving each request alone (scores are
+// batch-size-invariant; see src/tensor/matrix.h).
 #ifndef FIRZEN_EVAL_SERVING_H_
 #define FIRZEN_EVAL_SERVING_H_
 
@@ -129,19 +131,27 @@ struct RecResponse {
 
 struct ServingEngineOptions {
   /// Streamed scoring panel width (items per ScoreBlock call). Per-batch
-  /// peak memory is batch_users * item_block * sizeof(Real).
+  /// peak memory is batch_users * item_block * sizeof(Real) per shard.
   Index item_block = 8192;
-  /// Pool for the fused ranking loops (heap pushes); nullptr =
-  /// ThreadPool::Global(). Scoring kernels themselves parallelize over the
-  /// global pool, as everywhere in the tensor layer.
+  /// Pool for the shards and the fused ranking loops (heap pushes);
+  /// nullptr = ThreadPool::Global(). Scoring kernels themselves parallelize
+  /// over the global pool, as everywhere in the tensor layer.
   ThreadPool* pool = nullptr;
   /// Numeric tier for the minted scorer (model-based constructor only; an
   /// explicitly passed scorer keeps its own). kInt8 scores through the
   /// quantized catalog (docs/quantization.md); models without a factorized
-  /// path silently keep fp32. For a fixed precision + SIMD tier + catalog,
-  /// responses stay bit-identical across shard layouts, batch sizes, and
-  /// thread counts — the quant suites pin this.
+  /// path silently keep fp32. All shards of one engine score at one
+  /// precision, so for a fixed precision + SIMD tier + catalog, responses
+  /// stay bit-identical across shard layouts, batch sizes, and thread
+  /// counts — the quant suites pin this.
   ScoringPrecision precision = ScoringPrecision::kFp32;
+  /// Number of contiguous equal-size catalog shards (see MakeShardRanges in
+  /// src/eval/sharded_serving.h); clamped to [1, num_items]. Ignored when
+  /// `boundaries` is non-empty.
+  Index num_shards = 1;
+  /// Optional explicit shard layout: interior cut points as accepted by
+  /// RangesFromBoundaries. Empty = balanced num_shards layout.
+  std::vector<Index> boundaries;
 };
 
 /// Immutable per-catalog serving state: sorted train items per user (the
@@ -160,16 +170,16 @@ struct ServingSharedState {
 
   /// As above, but for datasets whose cold bitmap may be absent:
   /// `num_items` sizes the all-warm fallback (the serving engines pass the
-  /// scorer's catalog size). The one construction path shared by
-  /// ServingEngine and ShardedServingEngine.
+  /// scorer's catalog size).
   static std::shared_ptr<const ServingSharedState> FromDataset(
       const Dataset& dataset, Index num_items);
 };
 
 /// Request/response serving front end. Mints one Scorer from the model at
 /// construction (re-construct after Prepare*ColdInference to pick up new
-/// state). Thread-safe: share one engine across request threads — see the
-/// file comment.
+/// state) and slices it into one ItemRangeScorer view per catalog shard.
+/// Thread-safe: share one engine across request threads — see the file
+/// comment.
 class ServingEngine {
  public:
   /// The model must outlive the engine. Train-seen exclusions and the cold
@@ -183,31 +193,36 @@ class ServingEngine {
                 ServingEngineOptions options = {});
 
   /// Engine sharing a pre-built state (see ServingSharedState): sibling
-  /// engines — e.g. one per catalog shard — hold the same exclusion lists
-  /// and cold bitmap instead of one deep copy each. `state` must be non-null
-  /// and its is_cold size must match the scorer's catalog.
+  /// engines hold the same exclusion lists and cold bitmap instead of one
+  /// deep copy each. `state` must be non-null and its is_cold size must
+  /// match the scorer's catalog.
   ServingEngine(std::unique_ptr<Scorer> scorer,
                 std::shared_ptr<const ServingSharedState> state,
                 ServingEngineOptions options = {});
 
   /// Routed through the attached AdmissionController when one is attached
   /// (coalescing this call with concurrent callers'), else served directly.
-  /// Responses are identical either way.
+  /// Through admission, the response's RecStatus may be non-kOk (shed,
+  /// deadline-exceeded, backend failure — see src/eval/admission.h); the
+  /// direct path always serves with kOk.
   RecResponse Recommend(const RecRequest& request) const;
 
   /// Answers every request, preserving order. Requests over the full
-  /// catalog share one fused score-and-rank stream; requests with explicit
-  /// (possibly unequal) candidate pools are batched by streaming the sorted
-  /// union of their pools in bounded chunks — one batched scoring call per
-  /// chunk instead of one per request. Routed through the attached
-  /// AdmissionController when one is attached.
+  /// catalog share one fused score-and-rank stream per shard; requests with
+  /// explicit (possibly unequal) candidate pools are batched by streaming
+  /// the sorted union of their pools in bounded chunks — one batched
+  /// scoring call per chunk instead of one per request. Routed through the
+  /// attached AdmissionController when one is attached.
   std::vector<RecResponse> RecommendBatch(
       const std::vector<RecRequest>& requests) const;
 
   /// The execution path itself: serves the batch on the calling thread,
-  /// bypassing any attached admission controller. This is what the
-  /// controller's dispatcher invokes (routing it back through admission
-  /// would deadlock); also useful as an A/B baseline. Thread-safe.
+  /// bypassing any attached admission controller. Requests are resolved
+  /// once, every shard ranks its item slice (per-shard scorer view and
+  /// bounded heaps), and the per-shard top-k lists merge under RanksBefore
+  /// into each response. This is what the controller's dispatcher invokes
+  /// (routing it back through admission would deadlock); also useful as an
+  /// A/B baseline. Thread-safe.
   std::vector<RecResponse> RecommendBatchDirect(
       const std::vector<RecRequest>& requests) const;
 
@@ -221,6 +236,11 @@ class ServingEngine {
   const AdmissionController* admission() const { return admission_; }
 
   Index num_items() const { return num_items_; }
+  Index num_shards() const { return static_cast<Index>(ranges_.size()); }
+  /// Global item range [begin, end) of one shard.
+  ItemBlock shard_range(Index shard) const {
+    return ranges_[static_cast<size_t>(shard)];
+  }
 
   /// The engine's shared exclusion/cold state, for constructing sibling
   /// engines over the same catalog.
@@ -229,12 +249,16 @@ class ServingEngine {
   }
 
  private:
-  std::unique_ptr<const Scorer> scorer_;
-  Index num_items_;
+  void BuildShards();
+
+  std::unique_ptr<const Scorer> scorer_;  // base; outlives the shard views
+  std::vector<std::unique_ptr<const ItemRangeScorer>> shards_;
+  std::vector<ItemBlock> ranges_;
+  Index num_items_ = 0;
   std::shared_ptr<const ServingSharedState> state_;
   ServingEngineOptions options_;
   // Recycles per-call scoring scratch across requests; mutex-guarded, so
-  // concurrent calls on this const engine each lease a private arena.
+  // concurrent calls on this const engine each lease private arenas.
   mutable ArenaPool arenas_;
   // Optional admission-batching front end; see AttachAdmission.
   const AdmissionController* admission_ = nullptr;

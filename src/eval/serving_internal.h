@@ -1,18 +1,17 @@
 // Shared request-resolution and fused score-and-rank machinery behind
-// ServingEngine and ShardedServingEngine. Both front ends resolve requests
+// ServingEngine and the distributed shard server. Requests are resolved
 // once (exclusion lists, deduplicated candidate pools — all in GLOBAL item
-// ids), then drive RankRequestsInRange over one or many item ranges: the
-// single engine passes its base scorer over the whole catalog, the sharded
-// engine passes one ItemRangeScorer view per shard. One implementation,
+// ids), then RankRequestsInRange runs over one or many item ranges, each
+// through an ItemRangeScorer view of the base scorer. One implementation,
 // exercised by every serving path, is what keeps the shard-invariance
 // contract ("bit-identical responses for any shard count") enforceable —
-// the two engines cannot drift apart in exclusion, dedup, cold-shelf, or
-// candidate-pool semantics because they share this code.
+// local and remote shards cannot drift apart in exclusion, dedup,
+// cold-shelf, or candidate-pool semantics because they share this code.
 //
 // The distributed shard server (src/serve/shard_server.cc) drives the same
 // core over a socket: it runs PrepareBatch + RankRequestsInRange for its
 // range and ships the heaps' sorted contents as wire frames, which is what
-// makes a distributed response byte-identical to the in-process engines.
+// makes a distributed response byte-identical to the in-process engine.
 //
 // Internal header: not part of the public serving API; include only from
 // src/eval/*.cc, src/serve/*.cc, and tests that need the raw machinery.
@@ -28,12 +27,6 @@
 
 namespace firzen {
 namespace serving_internal {
-
-/// Null-checked Recommender::MakeScorer(precision), shared by both engines'
-/// model constructors. kFp32 preserves the historical mint exactly.
-std::unique_ptr<Scorer> MintScorer(
-    const Recommender* model,
-    ScoringPrecision precision = ScoringPrecision::kFp32);
 
 /// Shard-independent resolved state for one RecRequest: the exclusion list
 /// to binary-search (sorted, global ids) and, for explicit pools, the
@@ -85,9 +78,8 @@ PreparedBatch PrepareBatch(const std::vector<RecRequest>& requests,
 
 /// Scores the global item range [range.begin, range.end) for every request
 /// and pushes each eligible item into (*heaps)[i] keyed by GLOBAL item id.
-/// `scorer` is a view whose local item j is global item range.begin + j —
-/// the base scorer itself when the range spans the whole catalog, an
-/// ItemRangeScorer for a shard. Full-catalog requests share one fused
+/// `scorer` is a view whose local item j is global item range.begin + j
+/// (an ItemRangeScorer over the range). Full-catalog requests share one fused
 /// ScoreBlock+heap stream over `item_block`-wide panels; explicit pools
 /// execute `batch`'s plan restricted to the range: the in-range slice of
 /// the union (or of each group's pool) streams in bounded chunks while the

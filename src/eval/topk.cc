@@ -7,9 +7,10 @@
 
 namespace firzen {
 
-TopKHeap::TopKHeap(Index k) : k_(k) {
+TopKHeap::TopKHeap(Index k, Index max_items) : k_(k) {
   FIRZEN_CHECK_GT(k, 0);
-  heap_.reserve(static_cast<size_t>(k) + 1);
+  FIRZEN_CHECK_GE(max_items, 0);
+  heap_.reserve(static_cast<size_t>(std::min(k, max_items)) + 1);
 }
 
 void TopKHeap::Push(Index item, Real score) {

@@ -22,7 +22,11 @@ namespace firzen {
 /// Reset()/Push()/TakeSorted() per user.
 class TopKHeap {
  public:
-  explicit TopKHeap(Index k);
+  /// `max_items` bounds how many candidates this heap will ever be offered
+  /// (e.g. the catalog or shard size): the up-front reservation is
+  /// min(k, max_items) + 1 slots, so an oversized k costs no memory it
+  /// could never use — the heap just returns fewer than k items.
+  TopKHeap(Index k, Index max_items);
 
   Index k() const { return k_; }
 

@@ -165,7 +165,7 @@ void Kgcn::Fit(const Dataset& dataset, const TrainOptions& options) {
     w_ = best_w;
     bias_ = best_bias;
   }
-  // final_* kept for ItemEmbeddings()/diagnostics; Score() is overridden.
+  // final_* kept for ItemEmbeddings()/diagnostics; MakeScorer is overridden.
   final_user_ = user_emb_;
   final_item_ = ItemEmbeddings();
 }
@@ -320,7 +320,8 @@ class KgcnScorer : public Scorer {
 
 }  // namespace
 
-std::unique_ptr<Scorer> Kgcn::MakeScorer() const {
+std::unique_ptr<Scorer> Kgcn::MakeScorer(ScoringPrecision precision) const {
+  (void)precision;
   FIRZEN_CHECK(!user_emb_.empty());
   // entity_emb * W once per scorer, amortized over every streamed block.
   Matrix projected;

@@ -34,10 +34,6 @@ struct TrainOptions {
 /// MakeScorer() -> ScoreBlock()/ScoreCandidates(). Scoring streams bounded
 /// item panels; the evaluator and the serving engine fuse ranking with the
 /// stream so no users x num_items matrix ever materializes.
-///
-/// A concrete model must override at least one of MakeScorer() or the
-/// deprecated Score() — each default is implemented on top of the other, so
-/// overriding neither recurses.
 class Recommender {
  public:
   virtual ~Recommender();
@@ -48,32 +44,25 @@ class Recommender {
   virtual void Fit(const Dataset& dataset, const TrainOptions& options) = 0;
 
   /// Mints a streaming scorer over the model's current inference state
-  /// (post Fit / PrepareColdInference). The model must outlive the scorer,
-  /// and the scorer reflects the state at mint time: re-mint after
-  /// Prepare*ColdInference. Scorers are logically const and safely shared
-  /// across threads (per-call scratch lives in caller ScoringArenas), so
-  /// one mint serves any number of concurrent scoring streams — there is
-  /// no reason to mint per thread. Default: a FullScoreAdapter over
-  /// Score() — the
-  /// generic full-row fallback for non-factorized models (which must then
-  /// accept an empty user list: the adapter probes the catalog width with
-  /// one 0-row Score() call).
-  virtual std::unique_ptr<Scorer> MakeScorer() const;
+  /// (post Fit / PrepareColdInference) — the one scoring entry point. The
+  /// model must outlive the scorer, and the scorer reflects the state at
+  /// mint time: re-mint after Prepare*ColdInference. Scorers are logically
+  /// const and safely shared across threads (per-call scratch lives in
+  /// caller ScoringArenas), so one mint serves any number of concurrent
+  /// scoring streams — there is no reason to mint per thread.
+  ///
+  /// kInt8 is honored by models whose scores are dot products over frozen
+  /// final tables (EmbeddingModel descendants, StaticRecommender); KGCN's
+  /// tanh tower has no Gemm hot loop to quantize and scores in fp32 for
+  /// every precision, so callers can request int8 uniformly.
+  virtual std::unique_ptr<Scorer> MakeScorer(
+      ScoringPrecision precision) const = 0;
 
-  /// Precision-selecting mint. kFp32 is always MakeScorer(). kInt8 is
-  /// honored by models whose scores are dot products over frozen final
-  /// tables (EmbeddingModel descendants, StaticRecommender); the default
-  /// here falls back to the fp32 scorer for everything else (block-native
-  /// scorers like KGCN's tanh tower and FullScoreAdapter models have no
-  /// Gemm hot loop to quantize), so callers can request int8 uniformly —
-  /// the quant quality gate then trivially passes for fallback models.
-  virtual std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const;
-
-  /// Deprecated full-matrix scoring: fills `scores`
-  /// (users.size() x num_items) via one catalog-wide ScoreBlock. Kept so
-  /// existing call sites migrate without behavior change; prefer
-  /// MakeScorer() + ScoreBlock in new code.
-  virtual void Score(const std::vector<Index>& users, Matrix* scores) const;
+  /// The fp32 scorer: MakeScorer(ScoringPrecision::kFp32). Overriders add
+  /// `using Recommender::MakeScorer;` so this overload stays visible.
+  std::unique_ptr<Scorer> MakeScorer() const {
+    return MakeScorer(ScoringPrecision::kFp32);
+  }
 
   /// Rebuilds inference-time structures that may include strict cold items
   /// (e.g. expanded + masked item-item graphs, Eqs. 34-35). Default: no-op.

@@ -25,12 +25,22 @@ namespace firzen {
 
 std::vector<ModelInfo> AllModels() {
   return {
-      {"BPR", "CF"},         {"LightGCN", "CF"},  {"SGL", "CF"},
-      {"SimpleX", "CF"},     {"CKE", "KG"},       {"KGAT", "KG"},
-      {"KGCN", "KG"},        {"KGNNLS", "KG"},    {"VBPR", "MM"},
-      {"DRAGON", "MM"},      {"BM3", "MM"},       {"MMSSL", "MM"},
-      {"DropoutNet", "CS"},  {"CLCRec", "CS"},    {"MKGAT", "MM+KG"},
-      {"Firzen", "Ours"},
+      {"BPR", "CF"},
+      {"LightGCN", "CF"},
+      {"SGL", "CF"},
+      {"SimpleX", "CF"},
+      {"CKE", "KG"},
+      {"KGAT", "KG"},
+      {"KGCN", "KG"},
+      {"KGNNLS", "KG"},
+      {"VBPR", "MM", /*needs_modalities=*/true},
+      {"DRAGON", "MM", /*needs_modalities=*/true},
+      {"BM3", "MM", /*needs_modalities=*/true},
+      {"MMSSL", "MM", /*needs_modalities=*/true},
+      {"DropoutNet", "CS", /*needs_modalities=*/true},
+      {"CLCRec", "CS", /*needs_modalities=*/true},
+      {"MKGAT", "MM+KG"},  // modalities are extra KG entities; none is legal
+      {"Firzen", "Ours", /*needs_modalities=*/true},
   };
 }
 

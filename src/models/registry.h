@@ -20,6 +20,9 @@ namespace firzen {
 struct ModelInfo {
   std::string name;
   std::string category;
+  /// Fit() requires at least one item modality feature table
+  /// (Dataset::modalities) and must not be called without one.
+  bool needs_modalities = false;
 };
 
 /// All models in the paper's Table II row order.

@@ -7,21 +7,19 @@
 //
 // Models whose scores are user·item dot products expose a DotProductScorer
 // over their final embedding tables (zero-copy Gemm over an item-row slice);
-// non-factorized models either implement ScoreBlock natively or fall back to
-// the generic FullScoreAdapter.
+// the one non-factorized model (KGCN) implements ScoreBlock natively.
 //
 // Thread safety: scorers are logically const and safely shared across
-// threads. All mutable per-batch scratch (gathered user rows, cached full
-// score rows, per-user relation logits, ...) lives in an explicit
-// ScoringArena supplied by the caller — one arena per concurrent stream.
-// The arena-less convenience overloads use a per-thread arena, so legacy
-// call sites are concurrency-safe without changes. One ServingEngine can
-// therefore serve many request threads over a single shared scorer.
+// threads. All mutable per-batch scratch (gathered user rows, per-user
+// relation logits, ...) lives in an explicit ScoringArena supplied by the
+// caller — one arena per concurrent stream. The arena-less convenience
+// overloads use a per-thread arena, so they are concurrency-safe too. One
+// ServingEngine can therefore serve many request threads over a single
+// shared scorer.
 #ifndef FIRZEN_MODELS_SCORER_H_
 #define FIRZEN_MODELS_SCORER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,8 +35,8 @@ namespace firzen {
 /// per-row symmetric int8 catalog and GemmBTQuant (src/tensor/quantized.h),
 /// trading bounded ranking drift — gated by the Recall@K/NDCG quality ctest
 /// (label `quant`) — for a ~4x smaller resident catalog and vectorized
-/// integer throughput. Models without a factorized scoring path ignore
-/// kInt8 and fall back to fp32 (Recommender::MakeScorer(precision) default).
+/// integer throughput. Models without a factorized scoring path (KGCN)
+/// ignore kInt8 and score in fp32.
 enum class ScoringPrecision {
   kFp32 = 0,
   kInt8 = 1,
@@ -85,7 +83,6 @@ class ScoringArena {
   std::vector<Index> cached_users;  // batch the cached matrices were built for
   Matrix user_batch;                // gathered user rows (DotProductScorer)
   Matrix candidate_rows;            // gathered candidate rows
-  Matrix full_rows;                 // cached full score rows (FullScoreAdapter)
   Matrix rel_logits;                // per-user relation logits (KGCN)
   // Transient per-call id-translation buffer (ItemRangeScorer): valid only
   // within one call, never cached across calls.
@@ -174,12 +171,11 @@ class Scorer {
 
   /// Fills `out` (users.size() x candidates.size()) with scores of the
   /// explicitly listed items, out(r, j) = score of users[r] for
-  /// candidates[j]. Default: scores the full catalog into a temporary and
-  /// gathers — correct for any model, but O(num_items) per call; factorized
-  /// scorers override with a zero-materialization gather + Gemm.
+  /// candidates[j]. Must equal ScoreBlock's score for the same item bit for
+  /// bit, without scoring the rest of the catalog.
   virtual void ScoreCandidates(const std::vector<Index>& users,
                                const std::vector<Index>& candidates,
-                               MatrixView out, ScoringArena* arena) const;
+                               MatrixView out, ScoringArena* arena) const = 0;
 
   /// Arena-less conveniences: score through a per-thread arena. Streaming
   /// loops on one thread still amortize the batch gather; distinct threads
@@ -189,11 +185,6 @@ class Scorer {
   void ScoreCandidates(const std::vector<Index>& users,
                        const std::vector<Index>& candidates,
                        MatrixView out) const;
-
-  /// Legacy full-matrix convenience: resizes `scores` to
-  /// users.size() x num_items() and fills it with one catalog-wide block.
-  /// Prefer streaming ScoreBlock in new code.
-  void ScoreAll(const std::vector<Index>& users, Matrix* scores) const;
 
  protected:
   /// Process-unique, never-reused id for arena cache keying: pass to
@@ -256,7 +247,7 @@ class DotProductScorer : public Scorer {
 /// Item-range-restricted view of a base scorer: presents the contiguous
 /// global item range [item_begin, item_end) as a shard-local catalog of
 /// size item_end - item_begin (local item j = global item item_begin + j).
-/// This is the per-shard scoring handle behind ShardedServingEngine: one
+/// This is the per-shard scoring handle behind ServingEngine: one
 /// base scorer is minted once, then each catalog shard gets a zero-copy
 /// view over its slice, so sibling shards share the mint-time work (entity
 /// projections, embedding tables) and only translate coordinates.
@@ -294,43 +285,6 @@ class ItemRangeScorer : public Scorer {
   const Scorer* base_;
   Index item_begin_;
   Index item_end_;
-};
-
-/// Produces one row of scores per requested user over the full catalog
-/// (the legacy Recommender::Score contract).
-using FullScoreFn =
-    std::function<void(const std::vector<Index>& users, Matrix* scores)>;
-
-/// Generic adapter for models without a factorized or block-native scoring
-/// path: evaluates the full score rows for the batch, then copies the
-/// requested window out. Peak memory is O(users * num_items) per distinct
-/// user batch — the legacy footprint — but consecutive blocks for the same
-/// batch reuse the rows cached in the arena, so streaming costs one full
-/// evaluation per arena. The wrapped FullScoreFn must itself be safe to
-/// invoke concurrently (pure const scoring is; anything mutating model
-/// state is not).
-class FullScoreAdapter : public Scorer {
- public:
-  FullScoreAdapter(FullScoreFn score_fn, Index num_items);
-
-  using Scorer::ScoreBlock;
-  using Scorer::ScoreCandidates;
-
-  Index num_items() const override { return num_items_; }
-
-  void ScoreBlock(const std::vector<Index>& users, ItemBlock block,
-                  MatrixView out, ScoringArena* arena) const override;
-
-  void ScoreCandidates(const std::vector<Index>& users,
-                       const std::vector<Index>& candidates, MatrixView out,
-                       ScoringArena* arena) const override;
-
- private:
-  const Matrix& RowsFor(const std::vector<Index>& users,
-                        ScoringArena* arena) const;
-
-  FullScoreFn score_fn_;
-  Index num_items_;
 };
 
 }  // namespace firzen

@@ -21,7 +21,17 @@ void WriteMatrix(std::ofstream* out, const Matrix& m) {
              static_cast<std::streamsize>(sizeof(Real) * m.size()));
 }
 
-bool ReadMatrix(std::ifstream* in, Matrix* m) {
+// Bytes between the read position and the end of the file, or -1 when the
+// position is unknown.
+int64_t BytesLeft(std::ifstream* in, int64_t file_size) {
+  const std::streamoff pos = in->tellg();
+  return pos < 0 ? -1 : file_size - static_cast<int64_t>(pos);
+}
+
+// Reads one matrix block. The header's shape is checked against the bytes
+// left in the file BEFORE allocating, so a header that lies about its size
+// fails here instead of asking for memory the file cannot fill.
+bool ReadMatrix(std::ifstream* in, int64_t file_size, Matrix* m) {
   int64_t rows = 0;
   int64_t cols = 0;
   in->read(reinterpret_cast<char*>(&rows), sizeof(rows));
@@ -30,6 +40,10 @@ bool ReadMatrix(std::ifstream* in, Matrix* m) {
       cols > (1LL << 20)) {
     return false;
   }
+  const int64_t left = BytesLeft(in, file_size);
+  // Division instead of rows * cols * sizeof(Real): cannot overflow.
+  const int64_t elements_left = left / static_cast<int64_t>(sizeof(Real));
+  if (left < 0 || (cols > 0 && rows > elements_left / cols)) return false;
   m->Resize(rows, cols);
   in->read(reinterpret_cast<char*>(m->data()),
            static_cast<std::streamsize>(sizeof(Real) * m->size()));
@@ -53,10 +67,6 @@ void StaticRecommender::Fit(const Dataset& dataset,
   FIRZEN_CHECK_MSG(false,
                    "StaticRecommender serves pre-trained embeddings and "
                    "cannot be fitted");
-}
-
-std::unique_ptr<Scorer> StaticRecommender::MakeScorer() const {
-  return std::make_unique<DotProductScorer>(user_emb_, item_emb_);
 }
 
 std::unique_ptr<Scorer> StaticRecommender::MakeScorer(
@@ -89,8 +99,10 @@ Status SaveEmbeddings(const Recommender& model, const Matrix& user_emb,
 
 Result<std::unique_ptr<StaticRecommender>> LoadEmbeddings(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open " + path);
+  const int64_t file_size = static_cast<int64_t>(in.tellg());
+  in.seekg(0);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -104,7 +116,8 @@ Result<std::unique_ptr<StaticRecommender>> LoadEmbeddings(
   }
   Matrix user_emb;
   Matrix item_emb;
-  if (!ReadMatrix(&in, &user_emb) || !ReadMatrix(&in, &item_emb)) {
+  if (!ReadMatrix(&in, file_size, &user_emb) ||
+      !ReadMatrix(&in, file_size, &item_emb)) {
     return Status::InvalidArgument(path + ": truncated matrix block");
   }
   if (user_emb.cols() != item_emb.cols()) {
@@ -112,6 +125,9 @@ Result<std::unique_ptr<StaticRecommender>> LoadEmbeddings(
   }
   uint32_t name_len = 0;
   in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
+  if (!in || static_cast<int64_t>(name_len) > BytesLeft(&in, file_size)) {
+    return Status::InvalidArgument(path + ": truncated metadata");
+  }
   std::string name(name_len, '\0');
   in.read(name.data(), name_len);
   if (!in) return Status::InvalidArgument(path + ": truncated metadata");

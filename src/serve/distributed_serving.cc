@@ -10,22 +10,6 @@
 
 namespace firzen {
 
-// Defined here rather than in src/eval/admission.cc so the eval layer never
-// includes serve/ (include layering; see tools/firzen_lint.py). Mirrors the
-// ServingEngine / ShardedServingEngine overloads verbatim.
-AdmissionController::AdmissionController(const DistributedServingEngine* engine,
-                                         AdmissionOptions options)
-    : options_(std::move(options)) {
-  FIRZEN_CHECK(engine != nullptr);
-  if (options_.resume_queue_depth < 0) {
-    options_.resume_queue_depth = options_.max_queue_depth / 2;
-  }
-  Validate();
-  backend_ = [engine](const std::vector<RecRequest>& requests) {
-    return engine->RecommendBatchDirect(requests);
-  };
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -288,7 +272,7 @@ std::vector<RecResponse> DistributedServingEngine::RecommendBatchDirect(
     degraded_responses_.fetch_add(requests.size(), std::memory_order_relaxed);
   }
 
-  // ShardedServingEngine's merge half, verbatim: concatenate the surviving
+  // ServingEngine's shard merge, verbatim: concatenate the surviving
   // shards' RanksBefore-sorted lists, MergeTopK to each request's k.
   for (size_t i = 0; i < requests.size(); ++i) {
     std::vector<ScoredItem> entries;

@@ -1,13 +1,13 @@
 // Distributed serving coordinator: the same RecommendBatch surface as
-// ServingEngine / ShardedServingEngine, executed by fanning each batch out
-// to N shard-server connections (src/serve/shard_server.h) over the wire
-// protocol (src/serve/wire.h) and merging the per-shard top-K replies with
-// the existing MergeTopK — ShardedServingEngine's merge half, with sockets
-// where the in-process ParallelFor used to be.
+// ServingEngine, executed by fanning each batch out to N shard-server
+// connections (src/serve/shard_server.h) over the wire protocol
+// (src/serve/wire.h) and merging the per-shard top-K replies with the
+// existing MergeTopK — ServingEngine's shard merge, with sockets where the
+// in-process ParallelFor is.
 //
 // Determinism contract (the headline): on the healthy path a distributed
-// response is BYTE-IDENTICAL to ShardedServingEngine over the same catalog
-// and shared state, for any shard layout. Shard servers run the identical
+// response is BYTE-IDENTICAL to ServingEngine over the same catalog and
+// shared state, for any shard layout. Shard servers run the identical
 // shared core (PrepareBatch + RankRequestsInRange) over ItemRangeScorer
 // views, scores cross the wire as raw IEEE-754 bits, per-shard lists
 // arrive in RanksBefore order, and the merge is the same MergeTopK — so

@@ -179,14 +179,17 @@ void ShardServer::HandleConnection(net::UniqueFd conn) {
       return;
     }
 
-    // The in-process sharded engine's per-shard half, verbatim: prepare
-    // the FULL batch in global ids, rank this shard's range through the
-    // view, collect each heap's RanksBefore-sorted top-k (global ids).
+    // The in-process engine's per-shard half, verbatim: prepare the FULL
+    // batch in global ids, rank this shard's range through the view,
+    // collect each heap's RanksBefore-sorted top-k (global ids). A heap
+    // never reserves more than the shard's items, whatever k claims.
     const serving_internal::PreparedBatch batch =
         serving_internal::PrepareBatch(requests, *state_, num_items_);
     std::vector<TopKHeap> heaps;
     heaps.reserve(requests.size());
-    for (const RecRequest& req : requests) heaps.emplace_back(req.k);
+    for (const RecRequest& req : requests) {
+      heaps.emplace_back(req.k, shard_.size());
+    }
     {
       ArenaPool::Lease arena = arenas_.Acquire();
       serving_internal::RankRequestsInRange(*view_, shard_, requests, batch,

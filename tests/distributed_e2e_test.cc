@@ -10,7 +10,8 @@
 // range, so the CLI refuses to start — also covered below.) This is the
 // only test that exercises the stack across process boundaries; the
 // in-process suite (distributed_serving_test.cc) covers the engine-level
-// contracts.
+// contracts. The same process harness also pins that malformed CLI flags
+// are usage errors (exit 2), never an uncaught exception or a CHECK abort.
 //
 // FIRZEN_CLI_BINARY / FIRZEN_SHARD_SERVER_BINARY are injected by CMake as
 // the built targets' paths.
@@ -239,6 +240,44 @@ TEST(DistributedE2ETest, CliDistributedMatchesLocalAndDegradesOnKill) {
   EXPECT_FALSE(down.err.empty());
 
   std::remove(model_path.c_str());
+}
+
+// Every numeric flag goes through a checked parser, and a model that needs
+// modality features refuses to train without them: each case must exit 2
+// with a message, where it used to die on an uncaught std::invalid_argument
+// or a FIRZEN_CHECK (exit 134).
+TEST(DistributedE2ETest, CliRejectsBadFlagsWithUsageErrors) {
+  const std::string interactions = TempPath(".tsv");
+  {
+    std::FILE* f = std::fopen(interactions.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (int u = 0; u < 12; ++u) {
+      for (int i = 0; i < 4; ++i) std::fprintf(f, "%d\t%d\n", u, (u + i) % 10);
+    }
+    std::fclose(f);
+  }
+  const std::vector<std::vector<std::string>> commands = {
+      {FIRZEN_CLI_BINARY, "synth", "--scale", "abc"},
+      {FIRZEN_CLI_BINARY, "synth", "--scale", "-1"},
+      {FIRZEN_CLI_BINARY, "train", "--interactions", interactions,
+       "--model", "BPR", "--cold-fraction", "1.5"},
+      {FIRZEN_CLI_BINARY, "train", "--interactions", interactions,
+       "--model", "BPR", "--seed", "x"},
+      {FIRZEN_CLI_BINARY, "train", "--interactions", interactions,
+       "--model", "BPR", "--dim", "32x"},
+      {FIRZEN_CLI_BINARY, "train", "--interactions", interactions,
+       "--model", "BPR", "--epochs", "0"},
+      {FIRZEN_CLI_BINARY, "train", "--interactions", interactions,
+       "--model", "Firzen"},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    std::string label;
+    for (size_t i = 1; i < command.size(); ++i) label += command[i] + " ";
+    const CommandResult result = RunCommand(command);
+    EXPECT_EQ(result.exit_code, 2) << label << result.err;
+    EXPECT_FALSE(result.err.empty()) << label;
+  }
+  std::remove(interactions.c_str());
 }
 
 }  // namespace

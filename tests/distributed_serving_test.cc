@@ -1,7 +1,7 @@
 // Distributed-serving suite: a DistributedServingEngine fanning out over
 // real localhost sockets must answer every healthy-path request
 // bit-identically (same items, same scores, same order) to the in-process
-// ShardedServingEngine / ServingEngine oracle for any shard layout — the
+// ServingEngine oracle (one shard or the same layout) — the
 // contract that makes moving a shard behind a socket observably free. And
 // when shards die or stall, batches must complete from the survivors as
 // RecStatus::kDegraded within the deadline budget: never a hang, never an
@@ -227,9 +227,9 @@ TEST(DistributedServingTest, ResponsesInvariantAcrossShardCounts) {
     ExpectAllOk(got, label);
     ExpectBitIdentical(got, want, label + " batch");
     // And the in-process sharded engine agrees too (same oracle chain).
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = shards;
-    const ShardedServingEngine in_process(&model, dataset, sharded_options);
+    const ServingEngine in_process(&model, dataset, sharded_options);
     ExpectBitIdentical(got, in_process.RecommendBatch(requests),
                        label + " vs in-process");
     // Single-request path merges identically.
@@ -746,6 +746,62 @@ TEST(DistributedServingTest, ServerRefusesInvalidInputAndSurvives) {
       connected.value()->RecommendBatch(requests);
   ExpectAllOk(got, "after abuse");
   ExpectBitIdentical(got, reference.RecommendBatch(requests), "after abuse");
+}
+
+// Regression: a wire request with k = 2^40 used to make the handler
+// reserve 2^40 heap slots, throw std::bad_alloc on a thread with no catch,
+// and terminate the server. It is now served like any k beyond the shard —
+// every eligible item — and the same connection keeps serving.
+TEST(DistributedServingTest, HugeKFrameIsServedAndTheServerKeepsServing) {
+  const Dataset dataset = ShardDataset();
+  StaticRecommender model("dist", RandomEmb(kUsers, kDim, 1),
+                          RandomEmb(kItems, kDim, 2));
+  const auto state = ServingSharedState::FromDataset(dataset, kItems);
+  const auto ranges = MakeShardRanges(kItems, 2);
+  const auto servers = StartServers(model, state, ranges, kUsers);
+
+  auto dialed = net::Connect(servers[1]->bound_address(), 1000);
+  ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
+  net::UniqueFd fd = std::move(dialed.value());
+  ASSERT_TRUE(net::SendFrame(fd.get(), wire::FrameType::kHello,
+                             wire::EncodeHello(), 1000)
+                  .ok());
+  wire::FrameType type;
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(net::RecvFrame(fd.get(), &type, &reply, 1000).ok());
+  ASSERT_EQ(type, wire::FrameType::kShardInfo);
+
+  RecRequest huge;
+  huge.user = 0;
+  huge.k = Index{1} << 40;
+  huge.exclusion = ExclusionPolicy::kNone;
+  RecRequest next = huge;
+  next.k = 3;
+  for (const RecRequest& request : {huge, next}) {
+    ASSERT_TRUE(net::SendFrame(fd.get(), wire::FrameType::kRecRequestBatch,
+                               wire::EncodeRequestBatch({request}), 5000)
+                    .ok());
+    ASSERT_TRUE(net::RecvFrame(fd.get(), &type, &reply, 5000).ok())
+        << "k=" << request.k;
+    ASSERT_EQ(type, wire::FrameType::kRecReplyBatch) << "k=" << request.k;
+    std::vector<wire::ShardReply> replies;
+    ASSERT_TRUE(wire::DecodeReplyBatch(reply.data(), reply.size(), &replies));
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(static_cast<Index>(replies[0].items.size()),
+              std::min(request.k, ranges[1].size()));
+  }
+
+  // Through the coordinator: the merged answer matches the in-process
+  // engine for the same oversized k.
+  auto connected = ConnectTo(servers);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const ServingEngine reference(&model, dataset);
+  const std::vector<RecRequest> requests = {huge, next};
+  const std::vector<RecResponse> got =
+      connected.value()->RecommendBatch(requests);
+  ExpectAllOk(got, "huge k");
+  ExpectBitIdentical(got, reference.RecommendBatch(requests), "huge k");
+  EXPECT_EQ(static_cast<Index>(got[0].items.size()), kItems);
 }
 
 TEST(DistributedServingTest, RecStatusNameCoversDegraded) {

@@ -12,6 +12,7 @@
 #include "src/core/losses.h"
 #include "src/data/synthetic.h"
 #include "src/util/logging.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -218,8 +219,7 @@ TEST_P(AblationTest, VariantTrainsAndScores) {
   TrainOptions train = TinyTrainOptions();
   train.epochs = 3;
   model.Fit(TinyDataset(), train);
-  Matrix scores;
-  model.Score({0, 1}, &scores);
+  const Matrix scores = ScoreFullCatalog(model, {0, 1});
   for (Index i = 0; i < scores.size(); ++i) {
     ASSERT_TRUE(std::isfinite(scores.data()[i])) << variant;
   }
@@ -244,10 +244,8 @@ TEST(DynamicGraphAblationTest, LatticeStyleVariantTrainsAndDiffers) {
   FirzenModel dynamic(dynamic_options);
   dynamic.Fit(TinyDataset(), train);
   // Both train to a usable state...
-  Matrix frozen_scores;
-  Matrix dynamic_scores;
-  frozen.Score({0}, &frozen_scores);
-  dynamic.Score({0}, &dynamic_scores);
+  const Matrix frozen_scores = ScoreFullCatalog(frozen, {0});
+  const Matrix dynamic_scores = ScoreFullCatalog(dynamic, {0});
   // ...and the per-epoch graph refresh actually changes the model.
   Real diff = 0.0;
   for (Index i = 0; i < frozen_scores.size(); ++i) {

@@ -336,7 +336,7 @@ TEST(KernelParityTest, TopKHeapMatchesFullSort) {
       // Coarse quantization forces score ties to exercise the item-id
       // tie-break.
       for (auto& s : scores) s = std::floor(rng.Normal() * 4.0) / 4.0;
-      TopKHeap heap(k);
+      TopKHeap heap(k, n);
       for (Index i = 0; i < n; ++i) heap.Push(i, scores[static_cast<size_t>(i)]);
       const auto& got = heap.Sorted();
 

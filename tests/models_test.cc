@@ -5,6 +5,7 @@
 // KGAT cold reachability).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/data/split.h"
@@ -18,6 +19,7 @@
 #include "src/models/registry.h"
 #include "src/models/sampler.h"
 #include "src/util/logging.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -54,8 +56,7 @@ TEST_P(ModelSmokeTest, TrainsScoresAndRanksAboveDegenerate) {
 
   // Score a few users over all items: finite, correct shape.
   std::vector<Index> users{0, 1, 2, 3};
-  Matrix scores;
-  model->Score(users, &scores);
+  const Matrix scores = ScoreFullCatalog(*model, users);
   ASSERT_EQ(scores.rows(), 4);
   ASSERT_EQ(scores.cols(), dataset.num_items);
   for (Index i = 0; i < scores.size(); ++i) {
@@ -110,6 +111,30 @@ TEST(RegistryTest, SixteenModelsInPaperOrder) {
   EXPECT_EQ(models.back().category, "Ours");
 }
 
+// ModelInfo::needs_modalities is what the CLI checks before training: every
+// model that does not declare the need must train and score without any
+// modality feature table.
+TEST(RegistryTest, ModelsNotNeedingModalitiesTrainWithoutThem) {
+  SetLogLevel(LogLevel::kError);
+  Dataset dataset = TinyDataset();
+  dataset.modalities.clear();
+  TrainOptions options = TinyTrainOptions();
+  options.epochs = 1;
+  const std::vector<ModelInfo> models = AllModels();
+  for (const ModelInfo& info : models) {
+    if (info.needs_modalities) continue;
+    auto model = CreateModel(info.name);
+    model->Fit(dataset, options);
+    model->PrepareColdInference(dataset);
+    EXPECT_EQ(model->MakeScorer()->num_items(), dataset.num_items)
+        << info.name;
+  }
+  EXPECT_TRUE(std::any_of(models.begin(), models.end(),
+                          [](const ModelInfo& m) {
+                            return m.name == "Firzen" && m.needs_modalities;
+                          }));
+}
+
 TEST(SamplerTest, NegativesAreWarmAndUninteracted) {
   const Dataset& dataset = TinyDataset();
   BprSampler sampler(dataset, 7);
@@ -146,8 +171,7 @@ TEST(VbprTest, ColdItemsGetContentScores) {
   model->Fit(dataset, TinyTrainOptions());
   model->PrepareColdInference(dataset);
   // The content pathway gives cold items informative (non-tiny) scores.
-  Matrix scores;
-  model->Score({0}, &scores);
+  const Matrix scores = ScoreFullCatalog(*model, {0});
   Real cold_spread_min = 1e30;
   Real cold_spread_max = -1e30;
   for (Index item : dataset.ColdItems()) {
@@ -230,8 +254,7 @@ TEST(KgcnTest, UserConditionedScoresDiffer) {
   TrainOptions options = TinyTrainOptions();
   options.epochs = 4;
   model.Fit(dataset, options);
-  Matrix scores;
-  model.Score({0, 1}, &scores);
+  const Matrix scores = ScoreFullCatalog(model, {0, 1});
   // Two different users should not produce identical rankings.
   Real diff = 0.0;
   for (Index i = 0; i < dataset.num_items; ++i) {
@@ -247,11 +270,9 @@ TEST(LightGcnTest, NormalColdInferenceChangesColdScores) {
   const Dataset normal = MakeNormalColdProtocol(dataset, &rng);
   LightGcn model;
   model.Fit(normal, TinyTrainOptions());
-  Matrix strict_scores;
-  model.Score({0}, &strict_scores);
+  const Matrix strict_scores = ScoreFullCatalog(model, {0});
   model.PrepareNormalColdInference(normal);
-  Matrix normal_scores;
-  model.Score({0}, &normal_scores);
+  const Matrix normal_scores = ScoreFullCatalog(model, {0});
   Real cold_delta = 0.0;
   for (Index item : normal.ColdItems()) {
     cold_delta += std::abs(strict_scores(0, item) - normal_scores(0, item));

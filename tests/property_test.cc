@@ -15,7 +15,6 @@
 #include "src/data/split.h"
 #include "src/eval/metrics.h"
 #include "src/eval/serving.h"
-#include "src/eval/sharded_serving.h"
 #include "src/eval/topk.h"
 #include "src/graph/knn_graph.h"
 #include "src/models/scorer.h"
@@ -24,6 +23,7 @@
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -308,7 +308,7 @@ TEST_P(ShardedTopKPropertyTest, MergedTopKEqualsBruteForceFullRowSort) {
 
     // Random shard layout: 0-6 interior cuts, unsorted draws sorted here,
     // duplicates kept (empty shards are legal).
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     const Index num_cuts = rng.UniformInt(7);
     for (Index c = 0; c < num_cuts; ++c) {
       options.boundaries.push_back(rng.UniformInt(num_items + 1));
@@ -316,18 +316,12 @@ TEST_P(ShardedTopKPropertyTest, MergedTopKEqualsBruteForceFullRowSort) {
     std::sort(options.boundaries.begin(), options.boundaries.end());
     options.item_block = 1 + rng.UniformInt(num_items + 8);
 
-    auto scorer = std::make_unique<FullScoreAdapter>(
-        [salt, num_items](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), num_items);
-          for (size_t r = 0; r < users.size(); ++r) {
-            for (Index i = 0; i < num_items; ++i) {
-              (*scores)(static_cast<Index>(r), i) =
-                  TrialScore(salt, users[r], i);
-            }
-          }
+    auto scorer = std::make_unique<FunctionScorer>(
+        [salt](Index user, Index item) {
+          return TrialScore(salt, user, item);
         },
         num_items);
-    const ShardedServingEngine engine(std::move(scorer), dataset, options);
+    const ServingEngine engine(std::move(scorer), dataset, options);
 
     // One random request per user: random k, exclusion, pool, cold flag.
     std::vector<RecRequest> requests;

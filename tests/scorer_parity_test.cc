@@ -1,6 +1,7 @@
 // ScoreBlock parity suite: for every registered model, block-streamed
-// scores must be bit-identical to the legacy full-matrix Score() for any
-// block partitioning {1, 7, 64, num_items}, any candidate gather, and user
+// scores must be bit-identical to one catalog-wide block scored through the
+// per-thread arena for any block partitioning {1, 7, 64, num_items}, any
+// candidate gather, and user
 // batches on both sides of the Gemm small-batch/panel-path boundary. This
 // is the contract that lets the evaluator and the serving engine stream
 // bounded panels without ever materializing the catalog-wide matrix.
@@ -22,6 +23,7 @@
 #include "src/models/registry.h"
 #include "src/tensor/matrix.h"
 #include "src/util/logging.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -61,8 +63,7 @@ TEST_P(ScorerParityTest, BlockStreamMatchesLegacyScoreBitExact) {
           (u * 7) % static_cast<size_t>(dataset.num_users)));
     }
 
-    Matrix full;
-    model->Score(users, &full);
+    const Matrix full = ScoreFullCatalog(*model, users);
     ASSERT_EQ(full.rows(), static_cast<Index>(users.size()));
     ASSERT_EQ(full.cols(), dataset.num_items);
 
@@ -71,8 +72,8 @@ TEST_P(ScorerParityTest, BlockStreamMatchesLegacyScoreBitExact) {
 
     // Caller-owned arena: the explicit per-stream scratch contract that
     // makes one scorer shareable across threads. (The arena-less overloads
-    // route to a per-thread arena and are covered by the Score() reference
-    // itself.)
+    // route to a per-thread arena and are covered by the full-catalog
+    // reference itself.)
     ScoringArena arena;
     for (Index block : {Index{1}, Index{7}, Index{64}, dataset.num_items}) {
       Matrix streamed(static_cast<Index>(users.size()), dataset.num_items);

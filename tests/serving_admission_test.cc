@@ -27,7 +27,6 @@
 
 #include "src/eval/admission.h"
 #include "src/eval/serving.h"
-#include "src/eval/sharded_serving.h"
 #include "src/models/scorer.h"
 #include "src/models/serialize.h"
 #include "src/util/rng.h"
@@ -180,9 +179,9 @@ TEST_F(AdmissionFixture, FusedBatchesMatchServingAloneBitExact) {
 // served, never what its served response holds.
 TEST_F(AdmissionFixture, AllPoliciesPreserveCoalescingOnBothEngines) {
   const ServingEngine plain(model_.get(), dataset_);
-  ShardedServingOptions sharded_options;
+  ServingEngineOptions sharded_options;
   sharded_options.num_shards = 3;
-  const ShardedServingEngine sharded(model_.get(), dataset_, sharded_options);
+  const ServingEngine sharded(model_.get(), dataset_, sharded_options);
 
   // Mixed traffic with the new ticket metadata on top: generous deadlines
   // (far too long to expire) and a tenant spread, so the deadline and
@@ -328,9 +327,9 @@ TEST_F(AdmissionFixture, EngineRoutesThroughAttachedController) {
 // sharded engine's own direct answers (which in turn match the single
 // engine by the shard-invariance contract).
 TEST_F(AdmissionFixture, ShardedEngineAdmissionParity) {
-  ShardedServingOptions sharded_options;
+  ServingEngineOptions sharded_options;
   sharded_options.num_shards = 3;
-  ShardedServingEngine engine(model_.get(), dataset_, sharded_options);
+  ServingEngine engine(model_.get(), dataset_, sharded_options);
   AdmissionOptions options;
   options.max_batch = 6;
   options.max_wait_us = 0;

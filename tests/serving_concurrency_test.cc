@@ -1,6 +1,5 @@
-// Concurrent-serving stress suite: one shared ServingEngine (or
-// ShardedServingEngine — same contract) hammered by N request threads with
-// mixed full-catalog / candidate-pool / cold-only / custom-exclusion
+// Concurrent-serving stress suite: one shared ServingEngine (one shard or
+// many — same contract) hammered by N request threads with mixed full-catalog / candidate-pool / cold-only / custom-exclusion
 // traffic must answer every request bit-identically to a single-threaded
 // run — the contract that makes shared-scorer serving (and the TSan pass
 // wired into tools/run_checks.sh) meaningful. Also covers the scorer-level
@@ -15,10 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/data/synthetic.h"
 #include "src/eval/serving.h"
-#include "src/eval/sharded_serving.h"
+#include "src/models/registry.h"
 #include "src/models/scorer.h"
 #include "src/models/serialize.h"
+#include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace firzen {
@@ -55,10 +56,11 @@ Dataset StressDataset() {
 
 // Mixed request traffic: full catalog, explicit pools (duplicates included),
 // cold-only shelves, and every exclusion policy.
-std::vector<RecRequest> MixedRequests() {
+std::vector<RecRequest> MixedRequests(Index num_users = kUsers,
+                                      Index num_items = kItems) {
   std::vector<RecRequest> requests;
   Rng rng(29);
-  for (Index u = 0; u < kUsers; ++u) {
+  for (Index u = 0; u < num_users; ++u) {
     RecRequest full;
     full.user = u;
     full.k = 10;
@@ -69,7 +71,7 @@ std::vector<RecRequest> MixedRequests() {
     pool.k = 5;
     pool.exclusion = ExclusionPolicy::kNone;
     for (int j = 0; j < 24; ++j) {
-      pool.candidates.push_back(rng.UniformInt(kItems));
+      pool.candidates.push_back(rng.UniformInt(num_items));
     }
     pool.candidates.push_back(pool.candidates.front());  // guaranteed dup
     requests.push_back(pool);
@@ -86,7 +88,7 @@ std::vector<RecRequest> MixedRequests() {
     custom.k = 7;
     custom.exclusion = ExclusionPolicy::kCustom;
     for (int j = 0; j < 10; ++j) {
-      custom.exclude.push_back(rng.UniformInt(kItems));
+      custom.exclude.push_back(rng.UniformInt(num_items));
     }
     requests.push_back(custom);
   }
@@ -113,9 +115,8 @@ void ExpectSameResponse(const RecResponse& got, const RecResponse& want,
 // batch-size-invariant (scorer_parity_test pins it per model), for any
 // request-batch shape, so the single-request and whole-batch references
 // must themselves agree bit-for-bit (asserted below before the stress).
-template <typename Engine>
-void StressEngine(const Engine& engine, int num_threads, int rounds) {
-  const std::vector<RecRequest> requests = MixedRequests();
+void StressEngine(const ServingEngine& engine, int num_threads, int rounds,
+                  const std::vector<RecRequest>& requests = MixedRequests()) {
   std::vector<RecResponse> reference;
   reference.reserve(requests.size());
   for (const RecRequest& request : requests) {
@@ -191,28 +192,27 @@ TEST(ServingConcurrencyTest, SharedEngineDotProductBitExact) {
   StressEngine(engine, /*num_threads=*/6, /*rounds=*/2);
 }
 
-TEST(ServingConcurrencyTest, SharedEngineFullScoreAdapterBitExact) {
-  const Dataset dataset = StressDataset();
-  // Deterministic non-factorized scorer: exercises the cached-full-rows
-  // arena path under concurrency.
-  auto scorer = std::make_unique<FullScoreAdapter>(
-      [](const std::vector<Index>& users, Matrix* scores) {
-        scores->Resize(static_cast<Index>(users.size()), kItems);
-        for (size_t r = 0; r < users.size(); ++r) {
-          for (Index i = 0; i < kItems; ++i) {
-            (*scores)(static_cast<Index>(r), i) =
-                static_cast<Real>((users[r] * 31 + i * 17) % 101) -
-                static_cast<Real>(i % 7);
-          }
-        }
-      },
-      kItems);
-  const ServingEngine engine(std::move(scorer), dataset);
-  StressEngine(engine, /*num_threads=*/4, /*rounds=*/1);
+// KGCN's block-native scorer is the one that is not a dot product: its
+// per-user relation logits are cached in the arena, so this exercises the
+// arena cache path under concurrency.
+TEST(ServingConcurrencyTest, SharedEngineKgcnScorerBitExact) {
+  SetLogLevel(LogLevel::kError);
+  const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.12));
+  auto model = CreateModel("KGCN");
+  TrainOptions train;
+  train.embedding_dim = 8;
+  train.epochs = 2;
+  train.eval_every = 8;
+  train.seed = 5;
+  model->Fit(dataset, train);
+  const ServingEngine engine(model.get(), dataset);
+  StressEngine(engine, /*num_threads=*/4, /*rounds=*/1,
+               MixedRequests(std::min<Index>(kUsers, dataset.num_users),
+                             dataset.num_items));
 }
 
 // Sharded engine under concurrent traffic: N request threads hammer ONE
-// shared ShardedServingEngine; every answer must be bit-identical to the
+// shared 3-shard ServingEngine; every answer must be bit-identical to the
 // single-thread single-shard reference. The sharded engine leases one
 // arena per shard per call and ranks shards in parallel on the global
 // pool, so this is the data-race canary for the per-shard-view /
@@ -223,9 +223,9 @@ TEST(ServingConcurrencyTest, SharedShardedEngineBitExactVsSingleShardRef) {
                           RandomEmb(kItems, kDim, 22));
   // Single-shard single-thread reference: the plain engine.
   const ServingEngine reference(&model, dataset);
-  ShardedServingOptions options;
+  ServingEngineOptions options;
   options.num_shards = 3;
-  const ShardedServingEngine engine(&model, dataset, options);
+  const ServingEngine engine(&model, dataset, options);
 
   // Shard invariance first (single thread): sharded == single-shard.
   const std::vector<RecRequest> requests = MixedRequests();
@@ -262,10 +262,10 @@ TEST(ServingConcurrencyTest, ShardedEngineBothParallelismPlacementsBitExact) {
   ThreadPool wide_pool(8);   // 3 shards < 8 workers -> sequential placement
   ThreadPool narrow_pool(1);  // 3 shards >= 1 worker -> parallel placement
   for (ThreadPool* pool : {&wide_pool, &narrow_pool}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = 3;
     options.pool = pool;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     const auto got = engine.RecommendBatch(requests);
     for (size_t i = 0; i < requests.size(); ++i) {
       ExpectSameResponse(got[i], want[i], i);
@@ -275,7 +275,7 @@ TEST(ServingConcurrencyTest, ShardedEngineBothParallelismPlacementsBitExact) {
 }
 
 // Scorer-level contract: one shared scorer, one arena per thread, streamed
-// blocks must match ScoreAll exactly.
+// blocks must match one catalog-wide block exactly.
 TEST(ServingConcurrencyTest, SharedScorerPerThreadArenasBitExact) {
   const Matrix user_emb = RandomEmb(kUsers, kDim, 3);
   const Matrix item_emb = RandomEmb(kItems, kDim, 4);
@@ -289,7 +289,8 @@ TEST(ServingConcurrencyTest, SharedScorerPerThreadArenasBitExact) {
   }
   std::vector<Matrix> expected(batches.size());
   for (size_t b = 0; b < batches.size(); ++b) {
-    scorer.ScoreAll(batches[b], &expected[b]);
+    expected[b].Resize(static_cast<Index>(batches[b].size()), kItems);
+    scorer.ScoreBlock(batches[b], {0, kItems}, MatrixView(&expected[b]));
   }
 
   std::atomic<int> mismatches{0};
@@ -351,16 +352,16 @@ TEST(ServingConcurrencyTest, RemintedScorerNeverInheritsStaleArenaCache) {
   }
 
   // The per-thread arena behind the convenience overloads is the same
-  // machinery; pin it through ScoreAll too.
-  Matrix all_a;
-  Matrix all_b;
+  // machinery; pin it through the arena-less ScoreBlock too.
+  Matrix all_a(static_cast<Index>(users.size()), kItems);
+  Matrix all_b(static_cast<Index>(users.size()), kItems);
   {
     const DotProductScorer sc(emb_a, item_emb);
-    sc.ScoreAll(users, &all_a);
+    sc.ScoreBlock(users, {0, kItems}, MatrixView(&all_a));
   }
   {
     const DotProductScorer sc(emb_b, item_emb);
-    sc.ScoreAll(users, &all_b);
+    sc.ScoreBlock(users, {0, kItems}, MatrixView(&all_b));
   }
   for (Index i = 0; i < want_b.size(); ++i) {
     ASSERT_EQ(all_b.data()[i], want_b.data()[i]) << "flat " << i;

@@ -15,6 +15,7 @@
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/util/logging.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -65,11 +66,9 @@ TEST(SerializeTest, LoadedModelScoresIdenticallyToSource) {
   auto loaded = LoadEmbeddings(path);
   ASSERT_TRUE(loaded.ok());
 
-  Matrix original_scores;
-  Matrix loaded_scores;
   const std::vector<Index> users{0, 3, 5};
-  model.Score(users, &original_scores);
-  loaded.value()->Score(users, &loaded_scores);
+  const Matrix original_scores = ScoreFullCatalog(model, users);
+  const Matrix loaded_scores = ScoreFullCatalog(*loaded.value(), users);
   ASSERT_EQ(original_scores.size(), loaded_scores.size());
   for (Index i = 0; i < original_scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(original_scores.data()[i], loaded_scores.data()[i]);
@@ -90,6 +89,61 @@ TEST(SerializeTest, RejectsGarbageAndTruncatedFiles) {
   auto missing = LoadEmbeddings("/no/such/file.fzem");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+}
+
+// Writes `bytes` to a fresh file under the test temp dir; returns its path.
+std::string WriteBytes(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+template <typename T>
+void Append(std::string* bytes, T value) {
+  bytes->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Regression: a header claiming a 2^32 x 2^20 matrix in a 24-byte file used
+// to be allocated before any byte was read (std::bad_alloc). Every claimed
+// size is now checked against the bytes left in the file first.
+TEST(SerializeTest, LyingMatrixHeaderIsAStatusNotAnAllocation) {
+  std::string bytes = "FZEM";
+  Append<uint32_t>(&bytes, 1);
+  Append<int64_t>(&bytes, int64_t{1} << 32);
+  Append<int64_t>(&bytes, int64_t{1} << 20);
+  ASSERT_EQ(bytes.size(), 24u);
+  auto loaded = LoadEmbeddings(WriteBytes("huge_header.fzem", bytes));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Same for the trailing model-name length: a valid file whose name_len
+// claims 4 GiB must fail as truncated, not allocate the string.
+TEST(SerializeTest, LyingNameLengthIsAStatusNotAnAllocation) {
+  const Matrix user = RandomEmb(2, 3, 8);
+  const Matrix item = RandomEmb(4, 3, 9);
+  const std::string path = ::testing::TempDir() + "/name_len.fzem";
+  ASSERT_TRUE(
+      SaveEmbeddings(StaticRecommender("X", user, item), user, item, path)
+          .ok());
+  std::string bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    char buf[4096];
+    size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+    std::fclose(f);
+  }
+  // The file ends with u32 name_len + "X": claim 0xFFFFFFFF bytes instead.
+  ASSERT_GE(bytes.size(), 5u);
+  bytes.resize(bytes.size() - 5);
+  Append<uint32_t>(&bytes, 0xFFFFFFFFu);
+  bytes += "X";
+  auto loaded = LoadEmbeddings(WriteBytes("name_len_lie.fzem", bytes));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerializeTest, SaveRejectsEmptyOrMismatchedEmbeddings) {
@@ -206,6 +260,29 @@ TEST_F(ServingFixture, KLargerThanUnseenCatalogReturnsAllUnseen) {
   EXPECT_EQ(recs.size(), 4u);  // 6 items minus the 2 train-seen
 }
 
+// Regression: the heaps used to reserve k + 1 slots up front, so one
+// request with k = 2^40 threw std::bad_alloc. A k beyond the catalog now
+// behaves like any k beyond the pool: a short, complete response.
+TEST_F(ServingFixture, HugeKIsServedAsTheWholeEligibleCatalog) {
+  for (Index shards : {Index{1}, Index{3}}) {
+    ServingEngineOptions options;
+    options.num_shards = shards;
+    ServingEngine engine(model_.get(), dataset_, options);
+    const auto want = TopK(engine, 0, 6);
+    for (const std::vector<Index>& pool :
+         {std::vector<Index>{}, std::vector<Index>{5, 2, 3}}) {
+      const auto got = TopK(engine, 0, Index{1} << 40, pool);
+      const auto bounded = TopK(engine, 0, 6, pool);
+      ASSERT_EQ(got.size(), bounded.size()) << "shards=" << shards;
+      for (size_t j = 0; j < got.size(); ++j) {
+        EXPECT_EQ(got[j].item, bounded[j].item);
+        EXPECT_EQ(got[j].score, bounded[j].score);
+      }
+    }
+    EXPECT_EQ(TopK(engine, 0, Index{1} << 40).size(), want.size());
+  }
+}
+
 // --- ServingEngine request/response semantics. ---
 
 TEST_F(ServingFixture, EngineExcludesTrainSeenByDefault) {
@@ -315,7 +392,7 @@ TEST_F(ServingFixture, DuplicateCandidateEntriesAreDeduplicated) {
 
 TEST(TopKHeapTest, NaNPushesAreDroppedDeterministically) {
   const Real nan = std::nan("");
-  TopKHeap heap(3);
+  TopKHeap heap(3, 5);
   heap.Push(0, nan);
   heap.Push(1, 1.0);
   heap.Push(2, nan);
@@ -329,15 +406,11 @@ TEST(TopKHeapTest, NaNPushesAreDroppedDeterministically) {
 
 TEST(ServingEngineTest, NaNScoresNeverRecommended) {
   // Items 1 and 4 score NaN for every user; the rest score -item.
-  auto scorer = std::make_unique<FullScoreAdapter>(
-      [](const std::vector<Index>& users, Matrix* scores) {
-        scores->Resize(static_cast<Index>(users.size()), 6);
-        for (Index r = 0; r < scores->rows(); ++r) {
-          for (Index i = 0; i < 6; ++i) {
-            (*scores)(r, i) =
-                (i == 1 || i == 4) ? std::nan("") : -static_cast<Real>(i);
-          }
-        }
+  auto scorer = std::make_unique<FunctionScorer>(
+      [](Index user, Index item) {
+        (void)user;
+        return (item == 1 || item == 4) ? std::nan("")
+                                        : -static_cast<Real>(item);
       },
       /*num_items=*/6);
   Dataset dataset;
@@ -439,12 +512,11 @@ TEST(ServingEngineParityTest, FusedMatchesMaterializedForTrainedModel) {
   const std::vector<Index> users{0, 2, 5, 9};
   const Index k = 20;
   // Legacy reference: full score matrix, then per-user bounded heap.
-  Matrix scores;
-  model.Score(users, &scores);
+  const Matrix scores = ScoreFullCatalog(model, users);
   const auto seen = dataset.TrainItemsByUser();
   std::vector<std::vector<ScoredItem>> reference;
   for (size_t r = 0; r < users.size(); ++r) {
-    TopKHeap heap(k);
+    TopKHeap heap(k, dataset.num_items);
     const auto& exclude = seen[static_cast<size_t>(users[r])];
     for (Index item = 0; item < dataset.num_items; ++item) {
       if (std::binary_search(exclude.begin(), exclude.end(), item)) continue;

@@ -1,13 +1,13 @@
-// Shard-invariance suite: a ShardedServingEngine must answer every request
-// bit-identically (same items, same scores, same order) to the
-// single-engine ServingEngine reference for ANY shard count — the contract
-// that makes horizontal catalog partitioning observably free. Covers the
-// shard-layout helpers, the RanksBefore/MergeTopK total order (including
-// all-ties blocks, where a nondeterministic tie-break would differ across
-// shard layouts), every request shape (full catalog, candidate pools,
-// kTrainSeen/kCustom/kNone exclusion, cold-only, k > pool, duplicate
-// candidates, NaN scores), every registered model, and the sharded
-// EvaluateRanking path.
+// Shard-invariance suite: a sharded ServingEngine (num_shards or explicit
+// boundaries) must answer every request bit-identically (same items, same
+// scores, same order) to the one-shard ServingEngine reference for ANY
+// shard count — the contract that makes horizontal catalog partitioning
+// observably free. Covers the shard-layout helpers, the
+// RanksBefore/MergeTopK total order (including all-ties blocks, where a
+// nondeterministic tie-break would differ across shard layouts), every
+// request shape (full catalog, candidate pools, kTrainSeen/kCustom/kNone
+// exclusion, cold-only, k > pool, duplicate candidates, NaN scores), and
+// every registered model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/data/synthetic.h"
-#include "src/eval/evaluator.h"
 #include "src/eval/serving.h"
 #include "src/eval/sharded_serving.h"
 #include "src/eval/topk.h"
@@ -24,6 +23,7 @@
 #include "src/models/serialize.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "tests/test_scorers.h"
 
 namespace firzen {
 namespace {
@@ -87,7 +87,7 @@ TEST(TopKHeapTest, AllTiesBlockRanksByItemIdForAnyPushOrder) {
       {4, 0, 6, 2, 7, 1, 5, 3},
   };
   for (const auto& order : push_orders) {
-    TopKHeap heap(4);
+    TopKHeap heap(4, static_cast<Index>(order.size()));
     for (Index item : order) heap.Push(item, 1.25);
     const auto& sorted = heap.Sorted();
     ASSERT_EQ(sorted.size(), 4u);
@@ -120,7 +120,7 @@ TEST(MergeTopKTest, MergeIsIndependentOfShardLayoutIncludingTies) {
     size_t begin = 0;
     for (size_t size : layout) {
       // Shard-local top-k via the heap, exactly as the engine produces it.
-      TopKHeap heap(5);
+      TopKHeap heap(5, static_cast<Index>(size));
       for (size_t j = begin; j < begin + size; ++j) {
         heap.Push(all[j].item, all[j].score);
       }
@@ -275,9 +275,9 @@ TEST(ShardedServingTest, DotProductResponsesInvariantAcrossShardCounts) {
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
 
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     EXPECT_EQ(engine.num_shards(), std::min<Index>(shards, kItems));
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "shards=" + std::to_string(shards) + " batch");
@@ -306,16 +306,16 @@ TEST(ShardedServingTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
   // Panels narrower than shards and shards narrower than panels both hold;
   // so do degenerate explicit layouts with empty shards.
   for (Index item_block : {Index{5}, Index{16}, Index{4096}}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = 3;
     options.item_block = item_block;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "item_block=" + std::to_string(item_block));
   }
-  ShardedServingOptions uneven;
+  ServingEngineOptions uneven;
   uneven.boundaries = {0, 1, 1, 50, 96};  // empty shards + singleton shards
-  const ShardedServingEngine engine(&model, dataset, uneven);
+  const ServingEngine engine(&model, dataset, uneven);
   EXPECT_EQ(engine.num_shards(), 6);
   ExpectBitIdentical(engine.RecommendBatch(requests), want, "boundaries");
 }
@@ -326,12 +326,11 @@ TEST(ShardedServingTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
 TEST(ShardedServingTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
   Dataset dataset = ShardDataset();
   auto make_scorer = [] {
-    return std::make_unique<FullScoreAdapter>(
-        [](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), kItems);
-          for (Index r = 0; r < scores->rows(); ++r) {
-            for (Index i = 0; i < kItems; ++i) (*scores)(r, i) = 0.5;
-          }
+    return std::make_unique<FunctionScorer>(
+        [](Index user, Index item) {
+          (void)user;
+          (void)item;
+          return Real{0.5};
         },
         kItems);
   };
@@ -343,9 +342,9 @@ TEST(ShardedServingTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
   EXPECT_LT(want[0].items[0].item, want[0].items[1].item);
 
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(make_scorer(), dataset, options);
+    const ServingEngine engine(make_scorer(), dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "all-ties shards=" + std::to_string(shards));
   }
@@ -356,17 +355,11 @@ TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
   Dataset dataset = ShardDataset();
   dataset.train.clear();  // keep all items eligible
   auto make_scorer = [] {
-    return std::make_unique<FullScoreAdapter>(
-        [](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), kItems);
-          for (size_t r = 0; r < users.size(); ++r) {
-            for (Index i = 0; i < kItems; ++i) {
-              (*scores)(static_cast<Index>(r), i) =
-                  i % 5 == 0 ? std::nan("")
-                             : static_cast<Real>((users[r] * 29 + i * 11) %
-                                                 37);
-            }
-          }
+    return std::make_unique<FunctionScorer>(
+        [](Index user, Index item) {
+          return item % 5 == 0
+                     ? std::nan("")
+                     : static_cast<Real>((user * 29 + item * 11) % 37);
         },
         kItems);
   };
@@ -388,9 +381,9 @@ TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
     }
   }
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(make_scorer(), dataset, options);
+    const ServingEngine engine(make_scorer(), dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "nan shards=" + std::to_string(shards));
   }
@@ -398,7 +391,7 @@ TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
 
 // Regression: the explicit-pool scoring USER batch must come from the FULL
 // pools, not from what intersects each shard. 40 explicit requests put the
-// single engine's union batch on the Gemm row-sharded panel path (m > 32);
+// one-shard union batch on the Gemm row-sharded panel path (m > 32);
 // 36 of the pools live entirely in the first half of the catalog, so a
 // shard that naively batched only in-range requests would score the second
 // half with 4 users (m <= 32). The batch-size-invariant kernel means that
@@ -428,31 +421,31 @@ TEST(ShardedServingTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
   }
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
   for (Index shards : {Index{2}, Index{3}, Index{7}}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "batch-pinning shards=" + std::to_string(shards));
   }
 }
 
-// Sibling sharded engines share one ServingSharedState instead of
-// deep-copying exclusion lists per shard or per engine.
+// Sibling engines share one ServingSharedState instead of deep-copying
+// exclusion lists per shard or per engine.
 TEST(ShardedServingTest, SiblingEnginesShareOneState) {
   const Dataset dataset = ShardDataset();
   StaticRecommender model("sharded", RandomEmb(kUsers, kDim, 5),
                           RandomEmb(kItems, kDim, 6));
-  ShardedServingOptions options;
+  ServingEngineOptions options;
   options.num_shards = 3;
-  const ShardedServingEngine engine(&model, dataset, options);
+  const ServingEngine engine(&model, dataset, options);
   ASSERT_NE(engine.shared_state(), nullptr);
 
-  ShardedServingOptions sibling_options;
+  ServingEngineOptions sibling_options;
   sibling_options.num_shards = 5;
-  const ShardedServingEngine sibling(model.MakeScorer(), engine.shared_state(),
+  const ServingEngine sibling(model.MakeScorer(), engine.shared_state(),
                                      sibling_options);
   EXPECT_EQ(sibling.shared_state().get(), engine.shared_state().get());
-  // And a single-engine sibling over the very same state.
+  // And a one-shard sibling over the very same state.
   const ServingEngine flat(model.MakeScorer(), engine.shared_state());
 
   const std::vector<RecRequest> requests = ShardRequests();
@@ -475,7 +468,7 @@ class ShardedModelInvarianceTest : public ::testing::TestWithParam<ModelInfo> {
 };
 
 // For every registered model: sharded responses are bit-identical to the
-// single-engine reference for shard counts {1, 2, 3, 7, num_items}, across
+// one-shard reference for shard counts {1, 2, 3, 7, num_items}, across
 // full-catalog, pooled, custom-exclusion, and cold-only requests.
 TEST_P(ShardedModelInvarianceTest, ResponsesMatchSingleEngineBitExact) {
   SetLogLevel(LogLevel::kError);
@@ -530,9 +523,9 @@ TEST_P(ShardedModelInvarianceTest, ResponsesMatchSingleEngineBitExact) {
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
   for (Index shards :
        {Index{1}, Index{2}, Index{3}, Index{7}, dataset.num_items}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(model.get(), dataset, options);
+    const ServingEngine engine(model.get(), dataset, options);
     ExpectBitIdentical(
         engine.RecommendBatch(requests), want,
         GetParam().name + " shards=" + std::to_string(shards));
@@ -542,48 +535,6 @@ TEST_P(ShardedModelInvarianceTest, ResponsesMatchSingleEngineBitExact) {
 INSTANTIATE_TEST_SUITE_P(AllModels, ShardedModelInvarianceTest,
                          ::testing::ValuesIn(AllModels()),
                          [](const auto& info) { return info.param.name; });
-
-// ---- Offline metrics through the sharded path ----
-
-TEST(ShardedEvalTest, EvaluateRankingInvariantAcrossShardCounts) {
-  SetLogLevel(LogLevel::kError);
-  const Dataset& dataset = TrainedDataset();
-  auto model = CreateModel("BPR");
-  ASSERT_NE(model, nullptr);
-  TrainOptions train;
-  train.embedding_dim = 8;
-  train.epochs = 2;
-  train.eval_every = 8;
-  train.seed = 321;
-  model->Fit(dataset, train);
-  model->PrepareColdInference(dataset);
-  const auto scorer = model->MakeScorer();
-
-  for (const EvalSetting setting : {EvalSetting::kWarm, EvalSetting::kCold}) {
-    const std::vector<Interaction>& split = setting == EvalSetting::kWarm
-                                                ? dataset.warm_test
-                                                : dataset.cold_test;
-    EvalOptions options;  // default pool (serial): bit-deterministic
-    const EvalResult reference =
-        EvaluateRanking(dataset, split, setting, *scorer, options);
-    for (Index shards : {Index{2}, Index{3}, Index{7}, dataset.num_items}) {
-      options.num_shards = shards;
-      const EvalResult sharded =
-          EvaluateRanking(dataset, split, setting, *scorer, options);
-      EXPECT_EQ(sharded.num_users, reference.num_users);
-      EXPECT_EQ(sharded.metrics.recall, reference.metrics.recall)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.mrr, reference.metrics.mrr)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.ndcg, reference.metrics.ndcg)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.hit, reference.metrics.hit)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.precision, reference.metrics.precision)
-          << "shards=" << shards;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace firzen

@@ -29,9 +29,9 @@
 //       ONE shared engine; --serve-threads answers them from concurrent
 //       request threads (the engine is thread-safe — responses are
 //       identical for any thread count). --shards N partitions the item
-//       catalog across N sibling shard views (ShardedServingEngine) with a
-//       bit-exact top-K merge — responses are identical for any shard
-//       count. --shard-servers fans requests out to running serve-shard
+//       catalog across N shard views of one scorer with a bit-exact top-K
+//       merge — responses are identical for any shard count.
+//       --shard-servers fans requests out to running serve-shard
 //       processes instead (DistributedServingEngine); on the healthy path
 //       the output is byte-identical to the local engines, and when a
 //       shard server is down the surviving shards still answer, reported
@@ -54,10 +54,12 @@
 //       integer scoring, rankings gated by the Recall@K quality ctest. With
 //       --shard-servers the flag is ignored here — each serve-shard process
 //       picks its own (start them all with the same value).
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -70,7 +72,6 @@
 #include "src/data/synthetic.h"
 #include "src/eval/admission.h"
 #include "src/eval/serving.h"
-#include "src/eval/sharded_serving.h"
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/serve/distributed_serving.h"
@@ -141,6 +142,59 @@ bool ParsePrecisionFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+// Parses an integer flag within [min_value, max_value] into *out (left at
+// its default when the flag is absent); returns false (and reports) on bad
+// values.
+bool ParseIntFlag(const std::map<std::string, std::string>& flags,
+                  const std::string& name, long long min_value,
+                  long long* out,
+                  long long max_value = std::numeric_limits<long long>::max()) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  try {
+    size_t used = 0;
+    const long long parsed = std::stoll(it->second, &used);
+    if (used != it->second.size() || parsed < min_value ||
+        parsed > max_value) {
+      throw std::invalid_argument(it->second);
+    }
+    *out = parsed;
+    return true;
+  } catch (const std::exception&) {
+    if (max_value == std::numeric_limits<long long>::max()) {
+      std::fprintf(stderr, "--%s expects an integer >= %lld, got '%s'\n",
+                   name.c_str(), min_value, it->second.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "--%s expects an integer in [%lld, %lld], got '%s'\n",
+                   name.c_str(), min_value, max_value, it->second.c_str());
+    }
+    return false;
+  }
+}
+
+// Real-valued twin of ParseIntFlag: accepts a value strictly inside
+// (low, high).
+bool ParseRealFlag(const std::map<std::string, std::string>& flags,
+                   const std::string& name, double low, double high,
+                   double* out) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  try {
+    size_t used = 0;
+    const double parsed = std::stod(it->second, &used);
+    if (used != it->second.size() || !(parsed > low && parsed < high)) {
+      throw std::invalid_argument(it->second);
+    }
+    *out = parsed;
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "--%s expects a number in (%g, %g), got '%s'\n",
+                 name.c_str(), low, high, it->second.c_str());
+    return false;
+  }
+}
+
 int RunSynth(const std::map<std::string, std::string>& flags) {
   std::string profile = "beauty";
   if (!ParseChoiceFlag(flags, "profile",
@@ -148,7 +202,8 @@ int RunSynth(const std::map<std::string, std::string>& flags) {
                        &profile)) {
     return 2;
   }
-  const double scale = std::stod(FlagOr(flags, "scale", "0.4"));
+  double scale = 0.4;
+  if (!ParseRealFlag(flags, "scale", 0.0, 1000.0, &scale)) return 2;
   const std::string out = FlagOr(flags, "out", ".");
   SyntheticConfig config =
       profile == "cellphones" ? CellPhonesSConfig(scale)
@@ -228,27 +283,48 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   }
 
   SplitOptions split_options;
-  split_options.cold_fraction =
-      std::stod(FlagOr(flags, "cold-fraction", "0.2"));
-  Rng rng(static_cast<uint64_t>(std::stoll(FlagOr(flags, "seed", "7"))));
-  ApplyStrictColdSplit(interactions.value(), split_options, &rng, &dataset);
-  dataset.CheckValid();
+  long long seed = 7;
+  long long dim = 32;
+  long long epochs = 20;
+  if (!ParseRealFlag(flags, "cold-fraction", 0.0, 1.0,
+                     &split_options.cold_fraction) ||
+      !ParseIntFlag(flags, "seed", std::numeric_limits<long long>::min(),
+                    &seed) ||
+      !ParseIntFlag(flags, "dim", 1, &dim) ||
+      !ParseIntFlag(flags, "epochs", 1, &epochs,
+                    std::numeric_limits<int>::max())) {
+    return 2;
+  }
 
   const std::string model_name = FlagOr(flags, "model", "Firzen");
-  auto model = CreateModel(model_name);
-  if (model == nullptr) {
+  const std::vector<ModelInfo> models = AllModels();
+  const auto info =
+      std::find_if(models.begin(), models.end(),
+                   [&](const ModelInfo& m) { return m.name == model_name; });
+  if (info == models.end()) {
     std::fprintf(stderr, "unknown model '%s'; available:", model_name.c_str());
-    for (const ModelInfo& info : AllModels()) {
-      std::fprintf(stderr, " %s", info.name.c_str());
+    for (const ModelInfo& m : models) {
+      std::fprintf(stderr, " %s", m.name.c_str());
     }
     std::fprintf(stderr, "\n");
     return 2;
   }
+  if (info->needs_modalities && dataset.modalities.empty()) {
+    std::fprintf(stderr,
+                 "model '%s' needs item modality features: pass --text "
+                 "and/or --image\n",
+                 model_name.c_str());
+    return 2;
+  }
+
+  Rng rng(static_cast<uint64_t>(seed));
+  ApplyStrictColdSplit(interactions.value(), split_options, &rng, &dataset);
+  dataset.CheckValid();
+  auto model = CreateModel(model_name);
 
   TrainOptions train;
-  train.embedding_dim =
-      static_cast<Index>(std::stol(FlagOr(flags, "dim", "32")));
-  train.epochs = static_cast<int>(std::stol(FlagOr(flags, "epochs", "20")));
+  train.embedding_dim = static_cast<Index>(dim);
+  train.epochs = static_cast<int>(epochs);
   train.eval_every = 5;
   train.pool = ThreadPool::Global();
   train.verbose = FlagOr(flags, "verbose", "0") == "1";
@@ -294,28 +370,6 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// Parses an integer flag with a lower bound into *out (left at its default
-// when the flag is absent); returns false (and reports) on bad values.
-bool ParseIntFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& name, long long min_value,
-                  long long* out) {
-  const auto it = flags.find(name);
-  if (it == flags.end()) return true;
-  try {
-    size_t used = 0;
-    const long long parsed = std::stoll(it->second, &used);
-    if (used != it->second.size() || parsed < min_value) {
-      throw std::invalid_argument(it->second);
-    }
-    *out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "--%s expects an integer >= %lld, got '%s'\n",
-                 name.c_str(), min_value, it->second.c_str());
-    return false;
-  }
-}
-
 // Parses "3,17,42" into ids; returns false (and reports) on bad tokens.
 bool ParseIdList(const std::string& flag_name, const std::string& value,
                  std::vector<Index>* out) {
@@ -341,7 +395,7 @@ bool ParseIdList(const std::string& flag_name, const std::string& value,
 // Serves `requests` on `engine` — optional admission front end, optional
 // --serve-threads fan-out — and reports every response: items to stdout,
 // non-OK statuses to stderr. Works for any engine with the common serving
-// surface (ShardedServingEngine, DistributedServingEngine). DEGRADED
+// surface (ServingEngine, DistributedServingEngine). DEGRADED
 // responses were served (from the surviving shards), so they print their
 // items and keep the exit code 0; every other non-OK status fails the
 // invocation.
@@ -540,17 +594,15 @@ int RunRecommend(const std::map<std::string, std::string>& flags) {
                          admission_wait_us, max_queue_depth);
   }
 
-  // --shards N partitions the catalog across N sibling shard views; the
-  // merged responses are bit-identical to the single-engine path, so the
-  // flag only changes how the work is laid out, never what is served.
+  // --shards N partitions the catalog across N shard views; the merged
+  // responses are bit-identical for any shard count, so the flag only
+  // changes how the work is laid out, never what is served.
   long long shards = 1;
   if (!ParseIntFlag(flags, "shards", 1, &shards)) return 2;
-  // One shard IS the single-engine path (bit-identical by the shard
-  // invariance contract), so one engine type serves every --shards value.
-  ShardedServingOptions engine_options;
+  ServingEngineOptions engine_options;
   engine_options.num_shards = static_cast<Index>(shards);
   engine_options.precision = precision;
-  ShardedServingEngine engine(loaded.value().get(), empty, engine_options);
+  ServingEngine engine(loaded.value().get(), empty, engine_options);
   return ServeRequests(engine, flags, requests, admission_batch,
                        admission_wait_us, max_queue_depth);
 }

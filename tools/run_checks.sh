@@ -9,9 +9,9 @@
 #   2. rebuild with -DFIRZEN_SANITIZE=address and re-run ctest under ASan;
 #   3. rebuild with -DFIRZEN_SANITIZE=thread and run the serving suites
 #      under TSan — the concurrent-serving stress tests hammering one shared
-#      ServingEngine (and one shared ShardedServingEngine, whose shards rank
-#      in parallel per call) from many threads are the data-race canary for
-#      the shared-scorer / per-thread-arena / per-shard-view contract, and
+#      ServingEngine (one shard, and three shards ranking in parallel per
+#      call) from many threads are the data-race canary for the
+#      shared-scorer / per-thread-arena / per-shard-view contract, and
 #      the admission stress exercises the AdmissionController ticket queue
 #      and leader-follower dispatcher hand-off under contention. The
 #      -R filter below matches serving_test, serving_admission_test,
@@ -33,6 +33,10 @@
 #      above ran on the host's best tier, so together the two runs assert
 #      every tier produces the same bits (the in-test int32 reference is
 #      tier-independent).
+#
+# Every filtered ctest call (passes 3-5) carries --no-tests=error: a filter
+# that stops matching after a suite is renamed or moved must fail the run,
+# not pass it with zero tests.
 #
 # Usage:
 #   tools/run_checks.sh             # all six passes
@@ -115,7 +119,8 @@ if [[ "${FAST}" == "0" ]]; then
   # anyway); the serving + scorer-parity binaries are where threads share
   # one engine/scorer, so they carry the race coverage.
   TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
-    run_pass build-tsan -DFIRZEN_SANITIZE=thread -- -R "serving|scorer"
+    run_pass build-tsan -DFIRZEN_SANITIZE=thread -- -R "serving|scorer" \
+    --no-tests=error
 
   echo "== pass 4: UndefinedBehaviorSanitizer build + serving suites =="
   # TSan's filter plus the quant suites: the serving/admission binaries
@@ -127,7 +132,7 @@ if [[ "${FAST}" == "0" ]]; then
   # default is report-and-continue).
   UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-ubsan -DFIRZEN_SANITIZE=undefined -- \
-    -R "serving|scorer|quant"
+    -R "serving|scorer|quant" --no-tests=error
 
   echo "== pass 5: forced-scalar quant suites (FIRZEN_SIMD=scalar) =="
   # The quant tests compare against a tier-independent int32 reference, so
@@ -135,7 +140,7 @@ if [[ "${FAST}" == "0" ]]; then
   # used the host's best tier, unless --simd already forced one) proves
   # scalar and vector tiers produce identical bits.
   (cd build && FIRZEN_SIMD=scalar ctest --output-on-failure -j "$(nproc)" \
-    -L quant ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
+    -L quant --no-tests=error ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
 fi
 
 echo "all checks passed"
